@@ -24,12 +24,15 @@ import numpy as np
 
 from .core import (
     LACUNARY3,
+    MAX_EXPANSION_DEPTH,
     CapError,
     RegimeError,
     RieszSpec,
     SpectralGapError,
     TrigPolynomial,
     ValidationError,
+    _levels,
+    _require_float_phases,
     convolve_products,
     eval_partial_product,
     expand_partial_product,
@@ -45,8 +48,6 @@ RATIO_WINDOW = 5
 
 LOG_CLIP = 1e-30
 MAX_CLIPPED_FRACTION = 1e-3
-
-MAX_BAND_SERIES_DEPTH = 13
 
 
 @dataclass(frozen=True)
@@ -131,14 +132,15 @@ def alpha_energy_direct(poly: TrigPolynomial, alpha: float,
                         cutoff: int) -> EnergyReport:
     """sum_{0<|m|<=cutoff} |c_m|^2 |m|^{alpha-1}, traced per distinct |m|."""
     _check_alpha(alpha)
-    weights: dict[int, float] = {}
-    for m, c in poly.coefficients.items():
-        am = abs(m)
-        if am == 0 or am > cutoff:
-            continue
-        weights[am] = weights.get(am, 0.0) + (c * c.conjugate()).real
-    cutoffs = tuple(sorted(weights))
-    terms = tuple(weights[am] * am ** (alpha - 1.0) for am in cutoffs)
+    ms, cs = poly.arrays()
+    am = np.abs(ms)
+    keep = (am != 0) & (am <= cutoff)
+    # |c|^2 as Python's (c * conj(c)).real rounds it, summed over +-m
+    cutoffs, where = np.unique(am[keep], return_inverse=True)
+    weights = np.bincount(where, weights=(cs.real * cs.real + cs.imag * cs.imag)[keep],
+                          minlength=cutoffs.size)
+    cutoffs = tuple(cutoffs.tolist())
+    terms = tuple(w * m ** (alpha - 1.0) for w, m in zip(weights.tolist(), cutoffs))
     partial = tuple(np.cumsum(terms)) if terms else ()
     return EnergyReport(alpha, "direct", terms, tuple(map(float, partial)),
                         cutoffs, series_verdict(terms))
@@ -180,21 +182,26 @@ def alpha_energy_band_series(spec: RieszSpec, alpha: float, n_max: int,
             cutoffs.append(lams[n] + (spec.freqs.prefix_sum(n - 1) if n else 0))
             prod *= 1.0 + moduli[n] ** 2
     elif variant == "band_exact":
-        if n_max > MAX_BAND_SERIES_DEPTH:
+        if n_max > MAX_EXPANSION_DEPTH + 1:
             raise CapError(
-                f"band_exact at n_max={n_max} needs 3^{n_max} spectrum points; "
-                f"cap is {MAX_BAND_SERIES_DEPTH}")
-        freqs = np.array([0], dtype=np.int64)
-        w = np.array([1.0])
-        for n in range(n_max + 1):
-            rn2_4 = moduli[n] ** 2 / 4.0
-            band = 2.0 * rn2_4 * float(
-                np.sum(w * (lams[n] + freqs).astype(float) ** (alpha - 1.0)))
-            terms.append(band)
-            cutoffs.append(int(lams[n] + (freqs.max() if n else 0)))
-            if n < n_max and moduli[n] > 0.0:
-                freqs = np.concatenate((freqs, freqs + lams[n], freqs - lams[n]))
-                w = np.concatenate((w, w * rn2_4, w * rn2_4))
+                f"band_exact at n_max={n_max} needs the depth-{n_max - 1} spectrum "
+                f"(3^{n_max} points); cap is n_max={MAX_EXPANSION_DEPTH + 1}")
+
+        def blocks(j, values):
+            if moduli[j] == 0.0:
+                return None
+            up = (values[0] * (moduli[j] ** 2 / 4.0),)
+            return up, up
+
+        # the squared spectrum of the depth-(n-1) product, for n = 0..n_max
+        levels = _levels(spec, n_max, (np.ones(1),), blocks)
+        for n, (freqs, (w,)) in zip(range(n_max + 1), levels):
+            term = 0.0  # for a zero modulus; lambda_n may not fit in int64 then
+            if moduli[n] > 0.0:
+                term = 2.0 * (moduli[n] ** 2 / 4.0) * float(
+                    np.sum(w * (lams[n] + freqs).astype(float) ** (alpha - 1.0)))
+            terms.append(term)
+            cutoffs.append(lams[n] + (int(freqs.max()) if n else 0))
     else:
         raise ValidationError(f"unknown variant {variant!r}", "variant")
     partial = tuple(map(float, np.cumsum(terms)))
@@ -299,8 +306,8 @@ def interval_measure(spec: RieszSpec, depth: int, t: float, s: float) -> float:
     validate_spec(spec)
     if not 0.0 < s <= math.pi:
         raise ValidationError(f"s must lie in (0, pi], got {s}", "scale")
-    poly = expand_partial_product(spec, depth)
-    ms, cs = poly.arrays()
+    _require_float_phases(spec, depth, "interval_measure")
+    ms, cs = expand_partial_product(spec, depth).arrays()
     total = s / math.pi
     nz = ms != 0
     m = ms[nz].astype(float)
@@ -330,6 +337,7 @@ def interval_upper_bound(spec: RieszSpec, N: int, J_max: int, t: float,
             "index")
     if not 0.0 < s <= math.pi:
         raise ValidationError(f"s must lie in (0, pi], got {s}", "scale")
+    _require_float_phases(spec, J_max, "interval_upper_bound")
     total = interval_measure(spec, N, t, s)
     for j in range(N, J_max):
         nu = spec.freqs.spectral_margin(j)
@@ -337,11 +345,11 @@ def interval_upper_bound(spec: RieszSpec, N: int, J_max: int, t: float,
             raise ValidationError(
                 f"margin nu_j <= 0 at j={j}: lacunarity insufficient for the bound",
                 "margin", j)
-        pj = expand_partial_product(spec, j)
-        pj1 = expand_partial_product(spec, j + 1)
-        support = set(pj.coefficients) | set(pj1.coefficients)
-        ms = np.array(sorted(support), dtype=np.int64)
-        cs = np.array([pj.coefficient(int(m)) + pj1.coefficient(int(m)) for m in ms])
+        # supp P_j lies inside supp P_{j+1}: add P_j into a copy of P_{j+1}
+        mj, cj = expand_partial_product(spec, j).arrays()
+        ms, cs = expand_partial_product(spec, j + 1).arrays()
+        cs = cs.copy()
+        cs[np.searchsorted(ms, mj)] += cj
         weights = 1.0 / (nu + np.abs(ms).astype(float))
         for x in (t + s, t - s):
             total += float(np.sum((cs * np.exp(1j * ms.astype(float) * x)).real * weights))

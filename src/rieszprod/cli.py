@@ -189,9 +189,9 @@ def _require_seed(args) -> int:
     return args.seed
 
 
-def _complex_rows(poly) -> list[list]:
-    return [[m, poly.coefficients[m].real, poly.coefficients[m].imag]
-            for m in poly.support()]
+def _complex_rows(poly) -> list[tuple]:
+    ms, cs = poly.arrays()
+    return list(zip(ms.tolist(), cs.real.tolist(), cs.imag.tolist()))
 
 
 def run(args) -> int:

@@ -11,11 +11,13 @@ sum_j eps_j lambda_j with eps_j in {-1,0,1}, and the coefficient there is
 prod_{eps_j=1} a_j/2 * prod_{eps_j=-1} conj(a_j)/2.  The partial products
 are nonnegative with mean value 1, so they are densities of probability
 measures; everything downstream (classification, dimension estimates) is
-computed from these sparse expansions.
+computed from these expansions: ``TrigPolynomial`` values holding sorted
+integer frequencies (int64 below 2^62, exact Python integers above) and
+their complex coefficients, built level by level by ``_levels``.
 
 The "dyadic" regime (lambda_j = 2^j with sup |a_j| < 1) is also supported
-for expansion and pointwise evaluation; there colliding sign patterns
-aggregate and the band/Gram machinery refuses to run.
+for expansion and pointwise evaluation; there colliding sign patterns are
+merged at every level and the band/Gram machinery refuses to run.
 
 All types are immutable values; all operations are pure functions.
 """
@@ -24,7 +26,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -35,8 +38,13 @@ REGIMES = (LACUNARY3, DYADIC)
 
 PHASE_GENERATOR = "numpy-pcg64"
 
-# sparse expansions hold up to 3^(n+1) terms; beyond this the dict blows up
+# an expansion through factor n is two arrays of up to 3^(n+1) entries
+# (531,441 at the cap)
 MAX_EXPANSION_DEPTH = 12
+
+# frequency arrays are int64 while every |m| (for an expansion: the sum of the
+# frequencies with a nonzero coefficient) is below this, exact Python ints above
+INT64_LIMIT = 2 ** 62
 
 TWO_PI = 2.0 * math.pi
 
@@ -310,12 +318,6 @@ class SignPattern:
     def from_signs(cls, signs: Sequence[int]) -> "SignPattern":
         return cls(tuple((j, int(e)) for j, e in enumerate(signs) if e != 0))
 
-    def sign(self, j: int) -> int:
-        for i, e in self.entries:
-            if i == j:
-                return e
-        return 0
-
     def signs(self, length: int) -> tuple[int, ...]:
         out = [0] * length
         for j, e in self.entries:
@@ -341,68 +343,81 @@ class SignPattern:
         return tuple(out)
 
 
-def _is_hermitian(coeffs: Mapping[int, complex]) -> bool:
-    for m, c in coeffs.items():
-        if coeffs.get(-m) != c.conjugate():
-            return False
-    return True
+def _frequency_dtype(bound: int):
+    return np.int64 if bound < INT64_LIMIT else object
 
 
-@dataclass(frozen=True)
 class TrigPolynomial:
-    """Finite sparse map integer frequency -> complex coefficient.
-
-    ``real_valued`` flags Hermitian symmetry c_{-m} = conj(c_m); evaluation
-    then returns real values.  Exact zero coefficients are pruned at
-    construction so support queries are well defined.
+    """Finite sum_m c_m e^{imt} as two read-only arrays (``arrays()``):
+    strictly increasing integer frequencies, int64 when every |m| is below
+    2^62 and exact Python integers otherwise, and their complex128
+    coefficients, exact zeros pruned.  ``coefficients`` is a mapping built
+    once on first use.  ``real_valued`` flags Hermitian symmetry
+    c_{-m} = conj(c_m); evaluation then returns real values.
     """
 
-    coefficients: Mapping[int, complex]
-    real_valued: bool = field(default=False, compare=False)
+    def __init__(self, coefficients: Mapping[int, complex]):
+        pruned = {int(m): complex(c) for m, c in coefficients.items() if c != 0}
+        freqs = sorted(pruned)
+        self._adopt(np.array(freqs, dtype=_frequency_dtype(max(map(abs, freqs), default=0))),
+                    np.array([pruned[m] for m in freqs], dtype=np.complex128))
 
-    def __post_init__(self):
-        pruned = {int(m): complex(c) for m, c in self.coefficients.items() if c != 0}
-        object.__setattr__(self, "coefficients", pruned)
-        object.__setattr__(self, "real_valued", _is_hermitian(pruned))
+    @classmethod
+    def _from_parts(cls, freqs, re, im) -> "TrigPolynomial":
+        """Sorted distinct ``freqs`` with coefficients re + i im, zeros dropped."""
+        keep = (re != 0.0) | (im != 0.0)
+        poly = cls.__new__(cls)
+        poly._adopt(freqs[keep], np.column_stack((re[keep], im[keep])).view(np.complex128)[:, 0])
+        return poly
+
+    def _adopt(self, freqs: np.ndarray, coeffs: np.ndarray) -> None:
+        freqs.flags.writeable = coeffs.flags.writeable = False
+        self._freqs, self._coeffs, self._mapping = freqs, coeffs, None
+        self._real_valued = bool(np.array_equal(freqs, -freqs[::-1])
+                                 and np.array_equal(coeffs, coeffs[::-1].conj()))
+
+    @property
+    def real_valued(self) -> bool:
+        return self._real_valued
+
+    @property
+    def coefficients(self) -> Mapping[int, complex]:
+        if self._mapping is None:
+            self._mapping = MappingProxyType(
+                dict(zip(self._freqs.tolist(), self._coeffs.tolist())))
+        return self._mapping
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TrigPolynomial) and self.coefficients == other.coefficients
+        return (isinstance(other, TrigPolynomial)
+                and np.array_equal(self._freqs, other._freqs)
+                and np.array_equal(self._coeffs, other._coeffs))
 
     def coefficient(self, m: int) -> complex:
         return self.coefficients.get(m, 0j)
 
     @property
     def degree(self) -> int:
-        return max((abs(m) for m in self.coefficients), default=0)
+        return int(max(-self._freqs[0], self._freqs[-1])) if self._freqs.size else 0
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coefficients))
+        return tuple(self._freqs.tolist())
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        ms = np.array(sorted(self.coefficients), dtype=np.int64)
-        cs = np.array([self.coefficients[int(m)] for m in ms], dtype=np.complex128)
-        return ms, cs
+        return self._freqs, self._coeffs
 
     def evaluate(self, t):
-        """sum_m c_m e^{imt}; real array/scalar when Hermitian."""
-        ms, cs = self.arrays()
+        """sum_m c_m e^{imt}; real array/scalar when Hermitian.  Refused for
+        exact-integer frequencies, whose float64 phases m*t mean nothing."""
+        if self._freqs.dtype == object:
+            raise CapError(f"evaluation needs float64 phases m*t; frequencies reach "
+                           f"{self.degree} >= 2^62")
         tt = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.exp(1j * np.outer(tt, ms)) @ cs
-        if self.real_valued:
+        out = np.exp(1j * np.outer(tt, self._freqs)) @ self._coeffs
+        if self._real_valued:
             out = out.real
         if np.isscalar(t) or np.ndim(t) == 0:
             return out[0]
         return out
-
-    def __mul__(self, other: "TrigPolynomial") -> "TrigPolynomial":
-        if len(self.coefficients) > len(other.coefficients):
-            self, other = other, self
-        out: dict[int, complex] = {}
-        for m1, c1 in self.coefficients.items():
-            for m2, c2 in other.coefficients.items():
-                m = m1 + m2
-                out[m] = out.get(m, 0j) + c1 * c2
-        return TrigPolynomial(out)
 
 
 @dataclass(frozen=True)
@@ -432,38 +447,79 @@ def _check_depth(spec: RieszSpec, n: int, name: str = "depth") -> None:
             f"{name}={n} out of range [0, {spec.last_index}]", "index", n)
 
 
+def _support_bound(spec: RieszSpec, depth: int) -> int:
+    """Sum of the frequencies through ``depth`` with a nonzero coefficient:
+    every frequency of the depth expansion lies within it."""
+    return sum(lam for lam, r in zip(spec.freqs.values[: depth + 1], spec.coeffs.moduli)
+               if r > 0.0)
+
+
+def _require_float_phases(spec: RieszSpec, depth: int, reader: str) -> None:
+    """Refuse a reader that forms float64 phases m*t from an expansion with
+    exact-integer frequencies."""
+    bound = _support_bound(spec, depth)
+    if bound >= INT64_LIMIT:
+        raise CapError(
+            f"{reader} needs float64 phases m*t, but the frequencies with a nonzero "
+            f"coefficient through depth {depth} have prefix sum {bound} >= 2^62")
+
+
+def _levels(spec: RieszSpec, depth: int, values: tuple, blocks):
+    """Yield (freqs, values) for the constant 1, then after each factor j <=
+    depth: the blocks at m, m + lambda_j, m - lambda_j, concatenated, with
+    values (float arrays) from ``blocks(j, values)`` -> (up, down), or None
+    for a factor 1.  Equal frequencies are summed only where they can meet
+    (lambda_j at most twice the prefix sum below it: the dyadic regime).
+    Frequencies are int64 while ``_support_bound(spec, depth)`` < 2^62."""
+    lams = spec.freqs.values
+    freqs = np.zeros(1, dtype=_frequency_dtype(_support_bound(spec, depth)))
+    yield freqs, values
+    for j in range(depth + 1):
+        level = blocks(j, values)
+        if level is not None:
+            freqs = np.concatenate((freqs, freqs + lams[j], freqs - lams[j]))
+            values = tuple(map(np.concatenate, zip(values, *level)))
+            if lams[j] <= 2 * spec.freqs.prefix_sum(j - 1):
+                freqs, where = np.unique(freqs, return_inverse=True)
+                # bincount adds in index order from 0.0, as a dict would
+                values = tuple(np.bincount(where, v, freqs.size) for v in values)
+        yield freqs, values
+
+
+def _times(ar, ai, br, bi):
+    """Real and imaginary parts of (ar + i ai)(br + i bi), rounded as
+    Python's complex product (numpy's complex multiply may fuse)."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
 @functools.lru_cache(maxsize=16)
 def _expansion(spec: RieszSpec, n: int) -> TrigPolynomial:
     if n > MAX_EXPANSION_DEPTH:
         raise CapError(
             f"expansion to depth {n} needs up to 3^{n + 1} terms; cap is "
             f"depth {MAX_EXPANSION_DEPTH}")
-    coeffs: dict[int, complex] = {0: 1.0 + 0j}
-    for j in range(n + 1):
+
+    def blocks(j, values):
         a = spec.coefficient(j)
         if a == 0:
-            continue
-        lam = spec.freqs.values[j]
+            return None
         half = a / 2
-        half_conj = half.conjugate()
-        out: dict[int, complex] = {}
-        for m, c in coeffs.items():
-            out[m] = out.get(m, 0j) + c
-            up = m + lam
-            out[up] = out.get(up, 0j) + c * half
-            dn = m - lam
-            out[dn] = out.get(dn, 0j) + c * half_conj
-        coeffs = out
-    return TrigPolynomial(coeffs)
+        return _times(*values, half.real, half.imag), _times(*values, half.real, -half.imag)
+
+    for freqs, (re, im) in _levels(spec, n, (np.ones(1), np.zeros(1)), blocks):
+        pass
+    order = np.argsort(freqs, kind="stable")
+    # adding 0.0 turns -0.0 into 0.0, as accumulating from 0j does
+    return TrigPolynomial._from_parts(freqs[order], re[order] + 0.0, im[order] + 0.0)
 
 
 def expand_partial_product(spec: RieszSpec, n: int) -> TrigPolynomial:
     """Exact sparse expansion of the partial product through factor n.
 
-    Computed by iterated sparse multiplication with the three-term factor
-    1 + (a_j/2) e^{i lambda_j t} + (conj(a_j)/2) e^{-i lambda_j t}.  In the
-    lacunary3 regime no frequencies collide; in the dyadic regime colliding
-    sign patterns aggregate.  The mean value (coefficient at 0) is 1.
+    One ``_levels`` level per three-term factor 1 + (a_j/2) e^{i lambda_j t}
+    + (conj(a_j)/2) e^{-i lambda_j t}.  In the lacunary3 regime no
+    frequencies collide; in the dyadic regime colliding sign patterns
+    aggregate.  The mean value (coefficient at 0) is 1.
     """
     validate_spec(spec)
     _check_depth(spec, n, "n")
@@ -571,29 +627,29 @@ def spectrum_bands(spec: RieszSpec, depth: int) -> list[SpectralBand]:
         raise RegimeError("spectrum bands are only defined in the lacunary3 regime",
                           "regime")
     _check_depth(spec, depth, "depth")
-    poly = _expansion(spec, depth)
-    groups: dict[int, list[int]] = {}
-    for m in poly.support():
-        if m <= 0:
-            continue
-        pattern = _representation(spec.freqs, m, depth)
-        top = pattern.entries[-1][0]
-        groups.setdefault(top, []).append(m)
-    return [
-        SpectralBand(n, min(fs), max(fs), tuple(sorted(fs)))
-        for n, fs in sorted(groups.items())
-    ]
+    freqs, _ = _expansion(spec, depth).arrays()
+    positive = freqs[np.searchsorted(freqs, 0, side="right"):]
+    bands = []
+    below = 0  # S_{n-1}
+    for n, lam in enumerate(spec.freqs.values[: depth + 1]):
+        lo = np.searchsorted(positive, lam - below, side="left")
+        hi = np.searchsorted(positive, lam + below, side="right")
+        members = positive[lo:hi].tolist()
+        if members:
+            bands.append(SpectralBand(n, members[0], members[-1], tuple(members)))
+        below += lam
+    return bands
 
 
 def convolve_products(p: TrigPolynomial, q: TrigPolynomial) -> TrigPolynomial:
     """Convolution of the underlying measures: pointwise coefficient product."""
-    small, big = (p, q) if len(p.coefficients) <= len(q.coefficients) else (q, p)
-    out = {}
-    for m, c in small.coefficients.items():
-        other = big.coefficients.get(m)
-        if other is not None:
-            out[m] = c * other
-    return TrigPolynomial(out)
+    pm, pc = p.arrays()
+    qm, qc = q.arrays()
+    at = np.searchsorted(qm, pm)  # pm[i] is in qm iff it sits at qm[at[i]]
+    common = at < qm.size
+    common[common] = qm[at[common]] == pm[common]
+    a, b = pc[common], qc[at[common]]
+    return TrigPolynomial._from_parts(pm[common], *_times(a.real, a.imag, b.real, b.imag))
 
 
 def randomize_phases(spec: RieszSpec, seed: int) -> RieszSpec:

@@ -99,6 +99,20 @@ def test_energy_band_exact_matches_direct_summation():
             assert abs(total_below - band.partial_sums[i]) < 1e-10
 
 
+def test_zero_coefficient_beyond_int64_keeps_int64_frequencies():
+    # lambda_2 = 10^20 carries a_2 = 0: the expansion stays in int64, the
+    # band series skips the band, and the float-phase readers still run
+    spec = RieszSpec(FrequencySequence((1, 10, 10 ** 20)),
+                     CoefficientSequence((0.5, 0.5, 0.0), (0.0, 0.0, 0.0)))
+    poly = expand_partial_product(spec, 2)
+    assert poly.arrays()[0].dtype == np.int64 and poly.degree == 11
+    band = alpha_energy_band_series(spec, 0.5, 2, "band_exact")
+    direct = alpha_energy_direct(poly, 0.5, poly.degree)
+    assert band.terms[2] == 0.0 and band.cutoffs[2] == 10 ** 20 + 11
+    assert abs(band.total - direct.total) <= 1e-12 * direct.total
+    assert 0.0 < interval_measure(spec, 2, 0.5, 0.1) < 1.0
+
+
 def test_energy_band_growth_rate_for_full_modulus():
     # exact band masses grow by (1+1/2) per band and the weight by 4^(alpha-1)
     spec = geometric_spec(4, 12)

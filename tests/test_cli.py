@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rieszprod
 from rieszprod.cli import main
 
 GOOD_SPEC = {
@@ -25,6 +30,32 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(*argv):
+    """The CLI in a child interpreter, where an uncaught exception ends in a
+    traceback on stderr."""
+    src = str(Path(rieszprod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "rieszprod.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert "Traceback" not in proc.stderr
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def write_spec(tmp_path, doc) -> str:
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+# frequencies beyond int64: the expansion keeps exact integers
+HUGE_FREQUENCIES = [1, 10, 10 ** 20, 10 ** 24]
+HUGE_SPEC = {
+    "frequencies": {"rule": "explicit", "values": HUGE_FREQUENCIES},
+    "coefficients": {"constant": {"r": 0.5, "theta": 0.0}},
+}
 
 
 def test_coeffs_csv_structure(capsys, spec_path):
@@ -266,3 +297,42 @@ def test_threads_flag_does_not_change_results(capsys, spec_path):
                          "--threads", "4")
     strip = lambda text: text.splitlines()[1:]  # config echoes differ
     assert strip(out1) == strip(out4)
+
+
+def test_energy_band_exact_on_exact_integer_frequencies(tmp_path):
+    path = write_spec(tmp_path, HUGE_SPEC)
+    totals = {}
+    for variant in ("band_exact", "direct"):
+        code, out, _ = run_child("energy", "--spec", path, "--alpha", "0.5",
+                                 "--variant", variant)
+        assert code == 0
+        totals[variant] = float(out.strip().splitlines()[-1].split(",")[1])
+    assert abs(totals["band_exact"] - totals["direct"]) <= 1e-12 * totals["direct"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("interval", "--depth", "3", "--t", "0.5", "--s", "0.1"),
+    ("holder", "--depth", "3", "--t", "0.5", "--scales", "0.5,0.25"),
+])
+def test_float_phase_readers_refuse_exact_integer_frequencies(tmp_path, argv):
+    code, out, err = run_child(*argv, "--spec", write_spec(tmp_path, HUGE_SPEC))
+    assert code == 3
+    assert err.startswith("refused: ")
+    assert str(sum(HUGE_FREQUENCIES)) in err and "2^62" in err
+    assert out == ""
+
+
+def test_expansion_depth_cap(capsys, tmp_path):
+    path = write_spec(tmp_path, {
+        "frequencies": {"rule": "geometric", "base": 3, "count": 15},
+        "coefficients": {"constant": {"r": 0.5, "theta": 0.0}}})
+    code, out, err = run_cli(capsys, "coeffs", "--spec", path, "--depth", "13")
+    assert code == 3 and out == ""
+    assert err.startswith("refused: ")
+    assert "depth 13" in err and "cap is depth 12" in err
+
+    code, out, err = run_cli(capsys, "energy", "--spec", path, "--alpha", "0.5",
+                             "--variant", "band_exact", "--n-max", "14")
+    assert code == 3 and out == ""
+    assert err.startswith("refused: ")
+    assert "n_max=14" in err and "depth-13" in err and "cap is n_max=13" in err

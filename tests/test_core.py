@@ -11,13 +11,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rieszprod import (
+    CapError,
     CoefficientSequence,
     FrequencySequence,
     RegimeError,
     RieszSpec,
     SignPattern,
+    SpectralBand,
     TrigPolynomial,
     ValidationError,
     convolve_products,
@@ -29,6 +33,7 @@ from rieszprod import (
     spectrum_bands,
     validate_spec,
 )
+from rieszprod.core import _representation
 
 TWO_PI = 2 * math.pi
 
@@ -178,6 +183,65 @@ def test_dyadic_expansion_aggregates_collisions():
         assert set(poly.coefficients) == set(oracle)
         for m, c in oracle.items():
             assert abs(poly.coefficient(m) - c) < 1e-13
+
+
+@st.composite
+def lacunary3_cases(draw):
+    """A spec with integer frequencies of ratio >= 3, small ones and ones
+    beyond 2^62, moduli including the endpoints 0 and 1 and any finite
+    phases; and a depth <= 6."""
+    count = draw(st.integers(1, 7))
+    sizes = st.one_of(st.integers(0, 50), st.integers(2 ** 60, 2 ** 66))
+    freqs = [1 + draw(sizes)]
+    for _ in range(count - 1):
+        freqs.append(3 * freqs[-1] + draw(sizes))
+    moduli = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    phases = st.floats(allow_nan=False, allow_infinity=False)
+    spec = RieszSpec(FrequencySequence(tuple(freqs)),
+                     CoefficientSequence(tuple(draw(moduli) for _ in range(count)),
+                                         tuple(draw(phases) for _ in range(count))))
+    return spec, draw(st.integers(0, count - 1))
+
+
+# a_0 = (-1e-310, 0) after underflow: the product at lambda_0 + lambda_1 has
+# real part -0.0 before it is stored, and the oracle stores 0.0
+SIGNED_ZERO = (RieszSpec(FrequencySequence((1, 3)),
+                         CoefficientSequence((1e-310, 0.6), (math.pi, math.pi / 2))), 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lacunary3_cases())
+@example(SIGNED_ZERO)
+def test_expansion_and_bands_bit_exact_against_oracle(case):
+    spec, n = case
+    poly = expand_partial_product(spec, n)
+    oracle = oracle_expand(spec, n)
+    assert poly.coefficients == oracle
+    # repr tells -0.0 from 0.0, so this pins every bit
+    assert [repr(poly.coefficient(m)) for m in oracle] == [repr(c) for c in oracle.values()]
+
+    groups = {}
+    for m in poly.support():
+        if m > 0:
+            top = _representation(spec.freqs, m, n).entries[-1][0]
+            groups.setdefault(top, []).append(m)
+    assert spectrum_bands(spec, n) == [SpectralBand(top, fs[0], fs[-1], tuple(fs))
+                                       for top, fs in sorted(groups.items())]
+
+
+def test_exact_integer_frequencies_beyond_int64():
+    spec = RieszSpec(FrequencySequence((1, 10, 10 ** 20, 10 ** 24)),
+                     CoefficientSequence.constant(0.5, 0.0, 4))
+    poly = expand_partial_product(spec, 3)
+    ms, cs = poly.arrays()
+    assert ms.dtype == object and len(ms) == 81
+    assert poly.degree == 10 ** 24 + 10 ** 20 + 11
+    assert poly.coefficient(10 ** 24 - 10 ** 20) == 0.0625
+    assert poly.real_valued
+    with pytest.raises(CapError, match="2\\^62"):
+        poly.evaluate(0.5)
+    # below the limit the same product is stored in int64
+    assert expand_partial_product(spec, 1).arrays()[0].dtype == np.int64
 
 
 def test_hermitian_symmetry_exact():
