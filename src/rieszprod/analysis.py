@@ -18,6 +18,7 @@ feeds each estimate is an explicit argument, never a hidden global.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,8 @@ from .core import (
     SpectralGapError,
     TrigPolynomial,
     ValidationError,
+    _check_depth,
+    _check_grid,
     _levels,
     _require_float_phases,
     convolve_products,
@@ -140,6 +143,9 @@ def alpha_energy_direct(poly: TrigPolynomial, alpha: float,
     weights = np.bincount(where, weights=(cs.real * cs.real + cs.imag * cs.imag)[keep],
                           minlength=cutoffs.size)
     cutoffs = tuple(cutoffs.tolist())
+    if cutoffs and cutoffs[-1] > sys.float_info.max:
+        raise CapError(f"the energy weight |m|^(alpha-1) needs |m| in float64; "
+                       f"|m| reaches {cutoffs[-1]}")
     terms = tuple(w * m ** (alpha - 1.0) for w, m in zip(weights.tolist(), cutoffs))
     partial = tuple(np.cumsum(terms)) if terms else ()
     return EnergyReport(alpha, "direct", terms, tuple(map(float, partial)),
@@ -166,9 +172,7 @@ def alpha_energy_band_series(spec: RieszSpec, alpha: float, n_max: int,
     _check_alpha(alpha)
     if spec.regime != LACUNARY3:
         raise RegimeError("band series require the lacunary3 regime", "regime")
-    if not 0 <= n_max <= spec.last_index:
-        raise ValidationError(f"n_max={n_max} out of range [0, {spec.last_index}]",
-                              "index", n_max)
+    _check_depth(spec, n_max, "n_max")
     if not math.isfinite(spec.freqs.ratio_max):
         raise ValidationError("band series need a finite ratio_max", "ratio_max")
     lams = spec.freqs.values
@@ -366,10 +370,15 @@ def local_holder(spec: RieszSpec, depth: int, t: float,
     scales, a finite proxy for the liminf.
     """
     validate_spec(spec)
+    _check_depth(spec, depth)
+    if not math.isfinite(t):
+        raise ValidationError(f"t must be finite, got {t}", "t")
     scales = [float(s) for s in scales]
     if any(b >= a for a, b in zip(scales, scales[1:])):
         raise ValidationError("scales must be strictly decreasing", "scales")
-    resolution = 10.0 / spec.freqs.values[depth]
+    _require_float_phases(spec, depth, "local_holder")
+    # an exact quotient: lambda_depth may lie beyond float64 when r_depth = 0
+    resolution = 10 / spec.freqs.values[depth]
     admissible: list[float] = []
     ratios: list[float] = []
     excluded: list[tuple[float, str]] = []
@@ -396,6 +405,7 @@ def local_holder(spec: RieszSpec, depth: int, t: float,
 
 def _quadrature_grid(spec: RieszSpec, depth: int) -> np.ndarray:
     nodes = 8 * spec.freqs.prefix_sum(depth)
+    _check_grid(nodes, f"the quadrature grid at depth {depth}")
     return 2.0 * math.pi * np.arange(nodes) / nodes
 
 
@@ -413,6 +423,8 @@ def dimension_integral(spec: RieszSpec, n: int, depth: int,
     and raises.
     """
     validate_spec(spec)
+    _check_depth(spec, n, "n")
+    _check_depth(spec, depth)
     if spec.freqs.values[n] < 2:
         raise ValidationError(
             f"lambda_n must be >= 2 for the normalization, got {spec.freqs.values[n]}",
@@ -421,11 +433,12 @@ def dimension_integral(spec: RieszSpec, n: int, depth: int,
         raise ValidationError(
             f"depth must be >= n + 3 for a faithful measure proxy, got "
             f"n={n}, depth={depth}", "depth")
-    if depth > spec.last_index:
-        raise ValidationError(f"depth={depth} exceeds last index {spec.last_index}",
-                              "index", depth)
     if method not in ("quadrature", "monte_carlo"):
         raise ValidationError(f"unknown method {method!r}", "method")
+    if samples < 1:
+        raise ValidationError(f"samples must be >= 1, got {samples}", "samples")
+    if method == "monte_carlo":
+        _check_grid(samples, "Monte Carlo sampling")
     grid = _quadrature_grid(spec, depth)
     p_n = eval_partial_product(spec, n, grid)
     p_depth = p_n.copy()

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -45,6 +46,13 @@ MAX_EXPANSION_DEPTH = 12
 # frequency arrays are int64 while every |m| (for an expansion: the sum of the
 # frequencies with a nonzero coefficient) is below this, exact Python ints above
 INT64_LIMIT = 2 ** 62
+
+# a float64 phase lambda*t at or above this carries no fractional digit
+PHASE_LIMIT = 2 ** 52
+
+# grid nodes, Monte Carlo samples or evaluation points one call may hold
+# (699,048 quadrature nodes at base 4 and depth 8 fit)
+GRID_BUDGET = 2 ** 21
 
 TWO_PI = 2.0 * math.pi
 
@@ -121,17 +129,20 @@ class FrequencySequence:
     def last_index(self) -> int:
         return len(self.values) - 1
 
+    def _ratios(self):
+        for lo, hi in zip(self.values, self.values[1:]):
+            try:
+                yield hi / lo
+            except OverflowError:  # the quotient is beyond float64
+                yield math.inf
+
     @property
     def ratio_min(self) -> float:
-        if len(self.values) < 2:
-            return math.inf
-        return min(self.values[j + 1] / self.values[j] for j in range(len(self.values) - 1))
+        return min(self._ratios(), default=math.inf)
 
     @property
     def ratio_max(self) -> float:
-        if len(self.values) < 2:
-            return 1.0
-        return max(self.values[j + 1] / self.values[j] for j in range(len(self.values) - 1))
+        return max(self._ratios(), default=1.0)
 
     def prefix_sum(self, n: int) -> int:
         """sum_{i<=n} lambda_i (exact integer)."""
@@ -447,6 +458,11 @@ def _check_depth(spec: RieszSpec, n: int, name: str = "depth") -> None:
             f"{name}={n} out of range [0, {spec.last_index}]", "index", n)
 
 
+def _check_grid(size: int, what: str) -> None:
+    if size > GRID_BUDGET:
+        raise CapError(f"{what} needs {size} points; the grid budget is {GRID_BUDGET}")
+
+
 def _support_bound(spec: RieszSpec, depth: int) -> int:
     """Sum of the frequencies through ``depth`` with a nonzero coefficient:
     every frequency of the depth expansion lies within it."""
@@ -530,17 +546,27 @@ def eval_partial_product(spec: RieszSpec, n: int, t):
     """Pointwise value prod_{j<=n} (1 + r_j cos(lambda_j t + theta_j)).
 
     Evaluated factor by factor (never via the expansion) so nonnegativity
-    is preserved numerically.  Accepts scalars or arrays.
+    is preserved numerically.  Accepts scalars or arrays of finite points;
+    refused once a phase lambda_j*t of a factor with r_j > 0 reaches 2^52,
+    where float64 keeps no fractional digit.
     """
     validate_spec(spec)
     _check_depth(spec, n, "n")
     tt = np.atleast_1d(np.asarray(t, dtype=float))
+    reach = float(np.max(np.abs(tt), initial=0.0))
+    if not math.isfinite(reach):
+        raise ValidationError(f"points must be finite, got {reach}", "points")
+    num, den = reach.as_integer_ratio()  # lambda_j * reach compared exactly
     out = np.ones_like(tt)
     for j in range(n + 1):
-        r = spec.coeffs.moduli[j]
+        r, lam = spec.coeffs.moduli[j], spec.freqs.values[j]
         if r == 0.0:
             continue
-        out *= 1.0 + r * np.cos(spec.freqs.values[j] * tt + spec.coeffs.phases[j])
+        if lam > sys.float_info.max or lam * num >= PHASE_LIMIT * den:
+            raise CapError(
+                f"evaluation needs float64 phases lambda_j*t below 2^52; factor {j} has "
+                f"lambda_j = {lam} and max |t| = {reach!r}")
+        out *= 1.0 + r * np.cos(lam * tt + spec.coeffs.phases[j])
     if np.isscalar(t) or np.ndim(t) == 0:
         return float(out[0])
     return out
@@ -686,8 +712,8 @@ def gram_centered_exponentials(spec: RieszSpec, j: int, k: int, depth: int) -> c
     if spec.regime != LACUNARY3:
         raise RegimeError("the Gram system requires the lacunary3 regime", "regime")
     _check_depth(spec, depth, "depth")
-    if j > depth or k > depth:
-        raise ValidationError(f"indices j={j}, k={k} must be <= depth={depth}",
+    if not (0 <= j <= depth and 0 <= k <= depth):
+        raise ValidationError(f"indices j={j}, k={k} must lie in [0, depth={depth}]",
                               "index")
     lam_j = spec.freqs.values[j]
     lam_k = spec.freqs.values[k]

@@ -174,11 +174,12 @@ def _semantic_path(doc, err: ValidationError) -> str:
     return "spec"
 
 
-def validate_document(doc) -> list[Diagnostic]:
-    """Every schema and regime violation, each with a path into the document."""
-    out: list[Diagnostic] = []
+def _build_spec(doc, out: list[Diagnostic]):
+    """Returns (validated RieszSpec | None, random_seed | None), appending
+    every schema and regime violation to ``out``."""
     if not isinstance(doc, dict):
-        return [Diagnostic("", "document must be a JSON object")]
+        out.append(Diagnostic("", "document must be a JSON object"))
+        return None, None
     regime = doc.get("regime", "lacunary3")
     if regime not in ("lacunary3", "dyadic"):
         out.append(Diagnostic("regime", "must be 'lacunary3' or 'dyadic'"))
@@ -187,25 +188,27 @@ def validate_document(doc) -> list[Diagnostic]:
     coeffs, seed = _check_coefficients(
         doc, len(freqs) if freqs is not None else None, out)
     if freqs is None or coeffs is None:
-        return out
+        return None, None
     try:
-        spec = RieszSpec(freqs, coeffs, regime)
-        validate_spec(spec)
+        return validate_spec(RieszSpec(freqs, coeffs, regime)), seed
     except ValidationError as err:
         out.append(Diagnostic(_semantic_path(doc, err), str(err)))
+        return None, None
+
+
+def validate_document(doc) -> list[Diagnostic]:
+    """Every schema and regime violation, each with a path into the document."""
+    out: list[Diagnostic] = []
+    _build_spec(doc, out)
     return out
 
 
 def spec_from_document(doc) -> RieszSpec:
-    diagnostics = validate_document(doc)
-    if diagnostics:
-        raise SpecFileError(diagnostics)
-    freqs = _check_frequencies(doc, [])
-    coeffs, seed = _check_coefficients(doc, len(freqs), [])
-    spec = validate_spec(RieszSpec(freqs, coeffs, doc.get("regime", "lacunary3")))
-    if seed is not None:
-        spec = randomize_phases(spec, seed)
-    return spec
+    out: list[Diagnostic] = []
+    spec, seed = _build_spec(doc, out)
+    if out:
+        raise SpecFileError(out)
+    return spec if seed is None else randomize_phases(spec, seed)
 
 
 def read_document(path) -> dict:

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, determinism, report structure."""
 
+import argparse
 import json
 import math
 import os
@@ -8,9 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rieszprod
-from rieszprod.cli import main
+from rieszprod.cli import COMMANDS, build_parser, main
+from rieszprod.core import GRID_BUDGET
 
 GOOD_SPEC = {
     "frequencies": {"rule": "geometric", "base": 4, "count": 7},
@@ -56,6 +60,11 @@ HUGE_SPEC = {
     "frequencies": {"rule": "explicit", "values": HUGE_FREQUENCIES},
     "coefficients": {"constant": {"r": 0.5, "theta": 0.0}},
 }
+# 8 * (sum of the frequencies) quadrature nodes, far beyond the grid budget
+GRID_FREQUENCIES = [2, 10, 10 ** 20, 10 ** 24, 10 ** 29]
+GRID_SPEC = {**HUGE_SPEC, "frequencies": {"rule": "explicit", "values": GRID_FREQUENCIES}}
+# a frequency beyond the float64 range
+BEYOND_FLOAT_SPEC = {**HUGE_SPEC, "frequencies": {"rule": "explicit", "values": [1, 10 ** 400]}}
 
 
 def test_coeffs_csv_structure(capsys, spec_path):
@@ -336,3 +345,138 @@ def test_expansion_depth_cap(capsys, tmp_path):
     assert code == 3 and out == ""
     assert err.startswith("refused: ")
     assert "n_max=14" in err and "depth-13" in err and "cap is n_max=13" in err
+
+
+MONTE_CARLO = ("dim", "--n-min", "1", "--n-max", "1", "--depth", "6",
+               "--method", "monte_carlo", "--seed", "1", "--samples")
+
+
+REFUSALS = [
+    # arguments out of range
+    (GOOD_SPEC, ("holder", "--depth", "100", "--t", "0.5", "--scales", "0.5"), 2,
+     "depth=100 out of range [0, 6]"),
+    (GOOD_SPEC, ("dim", "--n-min", "20", "--n-max", "20", "--depth", "6"), 2,
+     "n=20 out of range [0, 6]"),
+    (GOOD_SPEC, MONTE_CARLO + ("-1",), 2, "samples must be >= 1, got -1"),
+    (GOOD_SPEC, MONTE_CARLO + ("0",), 2, "samples must be >= 1, got 0"),
+    (GOOD_SPEC, ("gram", "--j", "-1", "--k", "-1", "--depth", "6"), 2, "j=-1, k=-1"),
+    # non-finite points
+    (GOOD_SPEC, ("eval", "--depth", "3", "--t", "0,nan"), 2, "'0,nan'"),
+    (GOOD_SPEC, ("interval", "--depth", "3", "--t", "inf", "--s", "0.1"), 2, "'inf'"),
+    (GOOD_SPEC, ("holder", "--depth", "5", "--t", "nan", "--scales", "0.25"), 2, "nan"),
+    # the grid budget
+    (GRID_SPEC, ("dim", "--n-min", "0", "--n-max", "1", "--depth", "4"), 3,
+     f"needs {8 * sum(GRID_FREQUENCIES)} points; the grid budget is {GRID_BUDGET}"),
+    (GOOD_SPEC, MONTE_CARLO + (str(GRID_BUDGET + 1),), 3,
+     f"needs {GRID_BUDGET + 1} points; the grid budget is {GRID_BUDGET}"),
+    (GOOD_SPEC, ("eval", "--depth", "3", "--grid", str(GRID_BUDGET + 1)), 3,
+     f"needs {GRID_BUDGET + 1} points; the grid budget is {GRID_BUDGET}"),
+    # phases without float64 precision, frequencies beyond float64
+    (HUGE_SPEC, ("eval", "--depth", "3", "--t", "0.5"), 3,
+     f"below 2^52; factor 2 has lambda_j = {10 ** 20} and max |t| = 0.5"),
+    (BEYOND_FLOAT_SPEC, ("eval", "--depth", "1", "--t", "0.5"), 3, str(10 ** 400)),
+    (BEYOND_FLOAT_SPEC, ("energy", "--alpha", "0.5"), 2, "finite ratio_max"),
+    (BEYOND_FLOAT_SPEC, ("energy", "--alpha", "0.5", "--variant", "band_paper"), 2,
+     "finite ratio_max"),
+    (BEYOND_FLOAT_SPEC, ("energy", "--alpha", "0.5", "--variant", "direct"), 3,
+     f"|m| reaches {10 ** 400 + 1}"),
+    (BEYOND_FLOAT_SPEC, ("holder", "--depth", "1", "--t", "0.5", "--scales", "0.5"), 3,
+     f"prefix sum {1 + 10 ** 400} >= 2^62"),
+]
+
+
+@pytest.mark.parametrize("doc, argv, exit_code, named", REFUSALS,
+                         ids=[" ".join(argv) for _, argv, _, _ in REFUSALS])
+def test_argument_checks_and_refusals(tmp_path, doc, argv, exit_code, named):
+    code, out, err = run_child(*argv, "--spec", write_spec(tmp_path, doc))
+    assert code == exit_code and out == ""
+    assert err.startswith("invalid: " if exit_code == 2 else "refused: ")
+    assert named in err
+
+
+def _subcommands() -> dict:
+    """Subcommand name -> its parser."""
+    return next(action.choices for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def test_command_table_matches_parser():
+    keys = set()
+    for name, parser in _subcommands().items():
+        modes = [action.choices for action in parser._actions if action.dest == "mode"]
+        keys |= {(name, mode) for mode in (modes[0] if modes else [None])}
+    assert keys == set(COMMANDS)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Value strategies for the file options of the command line."""
+    root = tmp_path_factory.mktemp("fuzz")
+
+    def put(name, text):
+        (root / name).write_text(text, encoding="utf-8")
+        return str(root / name)
+
+    docs = {"good": GOOD_SPEC, "huge": HUGE_SPEC, "beyond": BEYOND_FLOAT_SPEC,
+            "dyadic": {"frequencies": {"rule": "geometric", "base": 2, "count": 6},
+                       "coefficients": {"constant": {"r": 0.5}}, "regime": "dyadic"},
+            "bad": {"frequencies": {"rule": "explicit", "values": [1, 2]},
+                    "coefficients": {"constant": {"r": 1.5}}}}
+    specs = [put(f"{name}.json", json.dumps(doc)) for name, doc in docs.items()]
+    specs = st.sampled_from(specs + [str(root / "missing.json")])
+    return {
+        "spec": specs, "spec_a": specs, "spec_b": specs,
+        "tails": st.sampled_from([put("tails.json", json.dumps({"l2_gap": "divergent"})),
+                                  put("bad_tails.json", json.dumps({"gap": "maybe"}))]),
+        "lambda_csv": st.just(put("lambda.csv", "ell,block,gamma\n0,1,5\n1,1,-7\n2,1,12\n")),
+    }
+
+
+# small indices first: the fuzz specs have at most 7 frequencies
+FUZZ_INTEGERS = (st.integers(0, 6) | st.integers(-5, 40)).map(str)
+FUZZ_POINT = st.sampled_from(["0", "0.25", "0.5", "0.75", "-1.25", "3", "1e300",
+                              "nan", "inf", "-inf"])
+FUZZ_VALUES = {
+    "t": st.lists(FUZZ_POINT, min_size=1, max_size=3).map(",".join),
+    "s": st.lists(FUZZ_POINT, min_size=1, max_size=3).map(",".join),
+    "scales": st.lists(FUZZ_POINT, min_size=1, max_size=3).map(",".join),
+    "values": st.lists(st.integers(-5, 40), min_size=1, max_size=8).map(
+        lambda xs: ",".join(map(str, xs))),
+}
+
+
+def _fuzz_argv(data, files) -> list[str]:
+    """One command line: every required option of a drawn command and some
+    of its optional ones, each with a drawn value.  Output files are never
+    named."""
+    subcommands = _subcommands()
+    name = data.draw(st.sampled_from(sorted(subcommands)))
+    argv = [name]
+    for action in subcommands[name]._actions:
+        if action.dest in ("help", "out", "emit"):
+            continue
+        if action.choices is not None:
+            value = st.sampled_from(list(action.choices))
+        elif action.type is int:
+            value = FUZZ_INTEGERS
+        elif action.type is float:
+            value = FUZZ_POINT
+        else:
+            value = {**FUZZ_VALUES, **files}[action.dest]
+        if not action.option_strings:
+            argv.append(data.draw(value))
+        elif action.required or data.draw(st.booleans()):
+            argv.append(f"{action.option_strings[0]}={data.draw(value)}")
+    return argv
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_command_line_ends_in_exit_0_2_or_3(fuzz_files, data):
+    argv = _fuzz_argv(data, fuzz_files)
+    try:
+        code = main(argv)
+    except SystemExit as exit_info:  # argparse refuses the command line
+        code = exit_info.code
+        assert code == 2, argv
+    assert code in (0, 2, 3), argv
