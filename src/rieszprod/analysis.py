@@ -310,7 +310,7 @@ def interval_measure(spec: RieszSpec, depth: int, t: float, s: float) -> float:
     validate_spec(spec)
     if not 0.0 < s <= math.pi:
         raise ValidationError(f"s must lie in (0, pi], got {s}", "scale")
-    _require_float_phases(spec, depth, "interval_measure")
+    _require_float_phases(spec, depth, "interval_measure", max(abs(t), s))
     ms, cs = expand_partial_product(spec, depth).arrays()
     total = s / math.pi
     nz = ms != 0
@@ -341,7 +341,7 @@ def interval_upper_bound(spec: RieszSpec, N: int, J_max: int, t: float,
             "index")
     if not 0.0 < s <= math.pi:
         raise ValidationError(f"s must lie in (0, pi], got {s}", "scale")
-    _require_float_phases(spec, J_max, "interval_upper_bound")
+    _require_float_phases(spec, J_max, "interval_upper_bound", abs(t) + s)
     total = interval_measure(spec, N, t, s)
     for j in range(N, J_max):
         nu = spec.freqs.spectral_margin(j)
@@ -376,7 +376,7 @@ def local_holder(spec: RieszSpec, depth: int, t: float,
     scales = [float(s) for s in scales]
     if any(b >= a for a, b in zip(scales, scales[1:])):
         raise ValidationError("scales must be strictly decreasing", "scales")
-    _require_float_phases(spec, depth, "local_holder")
+    _require_float_phases(spec, depth, "local_holder", abs(t))
     # an exact quotient: lambda_depth may lie beyond float64 when r_depth = 0
     resolution = 10 / spec.freqs.values[depth]
     admissible: list[float] = []
@@ -403,17 +403,11 @@ def local_holder(spec: RieszSpec, depth: int, t: float,
                         float(alpha_estimate), tuple(excluded))
 
 
-def _quadrature_grid(spec: RieszSpec, depth: int) -> np.ndarray:
-    nodes = 8 * spec.freqs.prefix_sum(depth)
-    _check_grid(nodes, f"the quadrature grid at depth {depth}")
-    return 2.0 * math.pi * np.arange(nodes) / nodes
-
-
 def dimension_integral(spec: RieszSpec, n: int, depth: int,
                        method: str = "quadrature", seed: int = 0,
                        samples: int = 200_000) -> float:
     """(1/log lambda_n) int log P_n dmu, with mu proxied by the depth
-    truncation.
+    truncation: the single-n case of ``dimension_bounds``.
 
     quadrature: uniform grid with 8x the truncation degree in nodes (exact
     for the density part; the log factor is smooth away from isolated
@@ -422,67 +416,67 @@ def dimension_integral(spec: RieszSpec, n: int, depth: int,
     clipped log; more than 0.1% clipped nodes invalidates the quadrature
     and raises.
     """
+    return dimension_bounds(spec, (n,), depth, method, seed, samples).l_values[0][1]
+
+
+def dimension_bounds(spec: RieszSpec, n_range, depth: int,
+                     method: str = "quadrature", seed: int = 0,
+                     samples: int = 200_000) -> DimensionReport:
+    """Finite-n dimension bracket: lower = 1 - max L_n, upper = 1 - min L_n,
+    with L_n as in ``dimension_integral``.
+
+    The arguments of every n are checked first; the grid, P_depth and the
+    Monte Carlo samples are then built once and shared by every n.  These
+    are proxies for the limsup/liminf bracket, labelled as such; both ends
+    are clamped to [0, 1] with the clamping recorded.
+    """
+    n_range = tuple(int(n) for n in n_range)
+    if not n_range:
+        raise ValidationError("n_range is empty", "n_range")
     validate_spec(spec)
-    _check_depth(spec, n, "n")
     _check_depth(spec, depth)
-    if spec.freqs.values[n] < 2:
-        raise ValidationError(
-            f"lambda_n must be >= 2 for the normalization, got {spec.freqs.values[n]}",
-            "normalization", n)
-    if depth < n + 3:
-        raise ValidationError(
-            f"depth must be >= n + 3 for a faithful measure proxy, got "
-            f"n={n}, depth={depth}", "depth")
+    for n in n_range:
+        _check_depth(spec, n, "n")
+        if spec.freqs.values[n] < 2:
+            raise ValidationError(
+                f"lambda_n must be >= 2 for the normalization, got {spec.freqs.values[n]}",
+                "normalization", n)
+        if depth < n + 3:
+            raise ValidationError(
+                f"depth must be >= n + 3 for a faithful measure proxy, got "
+                f"n={n}, depth={depth}", "depth")
     if method not in ("quadrature", "monte_carlo"):
         raise ValidationError(f"unknown method {method!r}", "method")
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}", "samples")
     if method == "monte_carlo":
         _check_grid(samples, "Monte Carlo sampling")
-    grid = _quadrature_grid(spec, depth)
-    p_n = eval_partial_product(spec, n, grid)
-    p_depth = p_n.copy()
-    for j in range(n + 1, depth + 1):
-        r = spec.coeffs.moduli[j]
-        if r == 0.0:
-            continue
-        p_depth *= 1.0 + r * np.cos(spec.freqs.values[j] * grid + spec.coeffs.phases[j])
-    clipped = int(np.count_nonzero(p_n < LOG_CLIP))
-    if clipped / grid.size >= MAX_CLIPPED_FRACTION:
-        raise ValidationError(
-            f"{clipped} of {grid.size} nodes clipped at the log floor; "
-            "quadrature invalid at this depth", "clipping")
-    log_p = np.log(np.clip(p_n, LOG_CLIP, None))
-    norm = math.log(spec.freqs.values[n])
-    if method == "quadrature":
-        return float(np.mean(log_p * p_depth)) / norm
-    cdf = np.cumsum(p_depth)
-    cdf /= cdf[-1]
-    rng = np.random.default_rng(seed)
-    idx = np.searchsorted(cdf, rng.random(int(samples)), side="left")
-    return float(np.mean(log_p[idx])) / norm
-
-
-def dimension_bounds(spec: RieszSpec, n_range, depth: int,
-                     method: str = "quadrature", seed: int = 0,
-                     samples: int = 200_000) -> DimensionReport:
-    """Finite-n dimension bracket: lower = 1 - max L_n, upper = 1 - min L_n.
-
-    These are proxies for the limsup/liminf bracket, labelled as such; both
-    ends are clamped to [0, 1] with the clamping recorded.
-    """
-    n_range = tuple(int(n) for n in n_range)
-    if not n_range:
-        raise ValidationError("n_range is empty", "n_range")
-    l_values = tuple(
-        (n, dimension_integral(spec, n, depth, method, seed, samples))
-        for n in n_range)
+    nodes = 8 * spec.freqs.prefix_sum(depth)
+    _check_grid(nodes, f"the quadrature grid at depth {depth}")
+    grid = 2.0 * math.pi * np.arange(nodes) / nodes
+    p_depth = eval_partial_product(spec, depth, grid)
+    if method == "monte_carlo":
+        cdf = np.cumsum(p_depth)
+        cdf /= cdf[-1]
+        idx = np.searchsorted(cdf, np.random.default_rng(seed).random(int(samples)),
+                              side="left")
+    l_values = []
+    for n in n_range:
+        p_n = eval_partial_product(spec, n, grid)
+        clipped = int(np.count_nonzero(p_n < LOG_CLIP))
+        if clipped / grid.size >= MAX_CLIPPED_FRACTION:
+            raise ValidationError(
+                f"{clipped} of {grid.size} nodes clipped at the log floor; "
+                "quadrature invalid at this depth", "clipping")
+        log_p = np.log(np.clip(p_n, LOG_CLIP, None))
+        mean = np.mean(log_p * p_depth) if method == "quadrature" else np.mean(log_p[idx])
+        l_values.append((n, float(mean) / math.log(spec.freqs.values[n])))
     ls = [l for _, l in l_values]
     lower_raw = 1.0 - max(ls)
     upper_raw = 1.0 - min(ls)
     lower = min(max(lower_raw, 0.0), 1.0)
     upper = min(max(upper_raw, 0.0), 1.0)
-    return DimensionReport(n_range, l_values, lower, upper, method,
+    return DimensionReport(n_range, tuple(l_values), lower, upper, method,
                            clamped=(lower != lower_raw or upper != upper_raw),
                            lower_raw=lower_raw, upper_raw=upper_raw)
 

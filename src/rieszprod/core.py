@@ -470,14 +470,22 @@ def _support_bound(spec: RieszSpec, depth: int) -> int:
                if r > 0.0)
 
 
-def _require_float_phases(spec: RieszSpec, depth: int, reader: str) -> None:
-    """Refuse a reader that forms float64 phases m*t from an expansion with
-    exact-integer frequencies."""
+def _require_float_phases(spec: RieszSpec, depth: int, reader: str, reach: float) -> None:
+    """Refuse a reader that forms float64 phases m*t, |t| <= reach, from an
+    expansion with exact-integer frequencies or with phases reaching 2^52,
+    where float64 keeps no fractional digit."""
     bound = _support_bound(spec, depth)
     if bound >= INT64_LIMIT:
         raise CapError(
             f"{reader} needs float64 phases m*t, but the frequencies with a nonzero "
             f"coefficient through depth {depth} have prefix sum {bound} >= 2^62")
+    if not math.isfinite(reach):
+        raise ValidationError(f"points must be finite, got {reach}", "points")
+    num, den = float(reach).as_integer_ratio()  # bound * reach compared exactly
+    if bound * num >= PHASE_LIMIT * den:
+        raise CapError(
+            f"{reader} needs float64 phases m*t below 2^52, but the support bound "
+            f"{bound} through depth {depth} times the reach {reach!r} of the points is >= 2^52")
 
 
 def _levels(spec: RieszSpec, depth: int, values: tuple, blocks):

@@ -3,8 +3,13 @@
 A finite family of integer vectors is quasi-independent when the only
 combination sum eps_j v_j = 0 with eps_j in {-1,0,1} is the trivial one.
 Two checkers are provided: an exhaustive scan over all 3^k sign patterns
-and a meet-in-the-middle search that matches half-pattern sums, each
-returning a verified witness pattern on failure.
+and a meet-in-the-middle search, each returning a verified witness pattern
+on failure.  The search encodes each vector as one integer sum_i v_i B^i,
+B = 2 k max|v_i| + 1, which is exact because no coordinate of a
+combination reaches B/2; it sorts the first-half sums and looks up the
+negated second-half sums.  Its witness is the first second-half pattern
+with a nontrivial match, combined with the first first-half pattern
+matching it (both in the scan's mixed-radix order).
 
 The constructive part builds, level by level,
 
@@ -29,14 +34,14 @@ arbitrary precision (int64 fast paths engage only when provably safe).
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import CapError, SignPattern, ValidationError
+from .core import INT64_LIMIT, CapError, SignPattern, ValidationError
 
 BRUTE_FORCE_CAP = 16
 MITM_CAP = 32
@@ -44,8 +49,6 @@ MITM_HALF_CAP = 2_000_000
 MESH_EXHAUSTIVE_CAP = 16
 SIDON_SET_CAP = 64
 SIDON_GRID_BUDGET = 8_000_000
-
-_INT64_SAFE = 2 ** 62
 
 
 @dataclass(frozen=True)
@@ -115,19 +118,16 @@ def _index_digits(index: int, k: int) -> list[int]:
     return digits
 
 
-_PATTERN_MATRICES: dict[int, np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _pattern_matrix(k: int) -> np.ndarray:
-    """All 3^k sign rows in mixed-radix order, digits -1,0,+1, big-endian."""
-    mat = _PATTERN_MATRICES.get(k)
-    if mat is None:
-        idx = np.arange(3 ** k, dtype=np.int64)
-        cols = []
-        for pos in range(k):
-            cols.append(((idx // 3 ** (k - 1 - pos)) % 3 - 1).astype(np.int8))
-        mat = np.stack(cols, axis=1) if k else np.zeros((1, 0), dtype=np.int8)
-        _PATTERN_MATRICES[k] = mat
+    """All 3^k sign rows in mixed-radix order, digits -1,0,+1, big-endian.
+
+    Read-only and cached; the caps keep k <= 13, so the cache holds at most
+    sum_{k<=13} k 3^k bytes, about 30 MB."""
+    idx = np.arange(3 ** k, dtype=np.int64)
+    cols = [((idx // 3 ** (k - 1 - pos)) % 3 - 1).astype(np.int8) for pos in range(k)]
+    mat = np.stack(cols, axis=1) if k else np.zeros((1, 0), dtype=np.int8)
+    mat.setflags(write=False)
     return mat
 
 
@@ -147,7 +147,7 @@ def qi_check_bruteforce(vset: IntVectorSet) -> QiCheckResult:
             "use qi_check_mitm")
     if k == 0:
         return QiCheckResult(True, None)
-    if vset.max_abs * k < _INT64_SAFE:
+    if vset.max_abs * k < INT64_LIMIT:
         witness = _brute_int64(vset)
     else:
         witness = _brute_exact(vset)
@@ -216,12 +216,17 @@ def _brute_exact(vset: IntVectorSet) -> SignPattern | None:
 
 
 def qi_check_mitm(vset: IntVectorSet) -> QiCheckResult:
-    """Meet-in-the-middle check: half-pattern sums matched through a table.
+    """Meet-in-the-middle check: sorted half-pattern sums matched by search.
 
-    All patterns for each matching sum are retained, so a witness is
-    produced whenever one exists (not just existence).  Verdicts and
-    witnesses are verified and deterministic; equivalent to the exhaustive
-    scan wherever both run.
+    Each vector v is encoded as the integer sum_i v_i B^i with
+    B = 2 k max|v_i| + 1.  The map is linear, and every coordinate of a
+    {-1,0,1} combination is at most k max|v_i| < B/2 in absolute value, so
+    a combination vanishes exactly when its encoding does.  The sums over
+    the first ceil(k/2) and the last floor(k/2) elements are int64 when
+    k max|code| < 2^62 and exact Python ints otherwise.  The witness is the
+    first second-half pattern (in mixed-radix order) with a nontrivial
+    match, combined with the first first-half pattern it matches; it is
+    verified, and a set is quasi-independent exactly when no match remains.
     """
     k = len(vset)
     if k > MITM_CAP:
@@ -234,40 +239,28 @@ def qi_check_mitm(vset: IntVectorSet) -> QiCheckResult:
         raise CapError(
             f"memory budget exceeded: half enumeration needs 3^{k_a} = "
             f"{3 ** k_a} entries, cap is {MITM_HALF_CAP}")
-    table = _half_sums(vset, 0, k_a)
-    sums_b = _half_keys(vset, k_a, k_b)
-    trivial_a = (3 ** k_a - 1) // 2
-    trivial_b = (3 ** k_b - 1) // 2
-    for idx_b, key_b in enumerate(sums_b):
-        need = tuple(-x for x in key_b)
-        for idx_a in table.get(need, ()):
-            if idx_a == trivial_a and idx_b == trivial_b:
-                continue
-            digits = _index_digits(idx_a, k_a) + _index_digits(idx_b, k_b)
-            return QiCheckResult(
-                False, _verify_witness(vset, _digits_to_pattern(digits)))
-    return QiCheckResult(True, None)
-
-
-def _half_keys(vset: IntVectorSet, start: int, count: int) -> list[tuple[int, ...]]:
-    values = vset.elements[start:start + count]
-    if count and vset.max_abs * count < _INT64_SAFE:
-        arr = np.array(values, dtype=np.int64)
-        sums = _pattern_matrix(count).astype(np.int64) @ arr
-        return [tuple(int(x) for x in row) for row in sums]
-    keys = []
-    for digits in itertools.product((0, 1, 2), repeat=count):
-        keys.append(tuple(
-            sum((d - 1) * values[j][i] for j, d in enumerate(digits))
-            for i in range(vset.dim)))
-    return keys
-
-
-def _half_sums(vset: IntVectorSet, start: int, count: int) -> dict:
-    table: dict[tuple[int, ...], list[int]] = {}
-    for idx, key in enumerate(_half_keys(vset, start, count)):
-        table.setdefault(key, []).append(idx)
-    return table
+    base = 2 * k * vset.max_abs + 1
+    codes = [sum(x * base ** i for i, x in enumerate(v)) for v in vset.elements]
+    dtype = np.int64 if k * max(map(abs, codes)) < INT64_LIMIT else object
+    values = np.array(codes, dtype=dtype)
+    sums_a = _pattern_matrix(k_a).astype(dtype) @ values[:k_a]
+    need = -(_pattern_matrix(k_b).astype(dtype) @ values[k_a:])
+    order = np.argsort(sums_a, kind="stable")
+    sorted_a = sums_a[order]
+    lo = np.searchsorted(sorted_a, need, "left")
+    hi = np.searchsorted(sorted_a, need, "right")
+    matches = hi - lo
+    matches[(3 ** k_b - 1) // 2] -= 1  # the two trivial half patterns always meet
+    hits = np.flatnonzero(matches)
+    if not hits.size:
+        return QiCheckResult(True, None)
+    idx_b = int(hits[0])
+    # the stable sort keeps first-half indices ascending within a sum; the first
+    # is never the trivial pattern, since of a zero-sum half pattern and its
+    # negation one lies below it
+    idx_a = int(order[lo[idx_b]])
+    digits = _index_digits(idx_a, k_a) + _index_digits(idx_b, k_b)
+    return QiCheckResult(False, _verify_witness(vset, _digits_to_pattern(digits)))
 
 
 # ---------------------------------------------------------------------------

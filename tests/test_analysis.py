@@ -330,6 +330,15 @@ def test_interval_upper_bound_rejects_bad_ranges():
         interval_measure(spec, 4, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_interval_readers_reject_non_finite_points(t):
+    spec = geometric_spec(4, 6)
+    with pytest.raises(ValidationError, match="finite"):
+        interval_measure(spec, 4, t, 0.1)
+    with pytest.raises(ValidationError, match="finite"):
+        interval_upper_bound(spec, 1, 4, t, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # local exponents
 # ---------------------------------------------------------------------------
@@ -416,6 +425,39 @@ def test_dimension_bounds_trivial_and_ordering():
     report = dimension_bounds(spec, range(1, 5), 7)
     assert report.lower <= report.upper
     assert 0.0 <= report.lower and report.upper <= 1.0
+
+
+def reference_log_integral(spec, n, depth, method, seed, samples):
+    """L_n by the per-n formula: its own grid, P_n, and P_depth continued
+    from P_n factor by factor."""
+    nodes = 8 * spec.freqs.prefix_sum(depth)
+    grid = 2.0 * math.pi * np.arange(nodes) / nodes
+    p_n = eval_partial_product(spec, n, grid)
+    p_depth = p_n.copy()
+    for j in range(n + 1, depth + 1):
+        r = spec.coeffs.moduli[j]
+        if r:
+            p_depth *= 1.0 + r * np.cos(spec.freqs.values[j] * grid + spec.coeffs.phases[j])
+    log_p = np.log(np.clip(p_n, 1e-30, None))
+    norm = math.log(spec.freqs.values[n])
+    if method == "quadrature":
+        return float(np.mean(log_p * p_depth)) / norm
+    cdf = np.cumsum(p_depth)
+    cdf /= cdf[-1]
+    idx = np.searchsorted(cdf, np.random.default_rng(seed).random(samples), side="left")
+    return float(np.mean(log_p[idx])) / norm
+
+
+@pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])
+def test_dimension_bounds_match_per_n_reference_bit_for_bit(method):
+    rng = np.random.default_rng(303)
+    spec = random_spec(rng, count=8)
+    moduli = list(spec.coeffs.moduli)
+    moduli[3] = 0.0  # a factor 1 between n and depth
+    spec = RieszSpec(spec.freqs, CoefficientSequence(tuple(moduli), spec.coeffs.phases))
+    report = dimension_bounds(spec, range(1, 5), 7, method, seed=11, samples=50_000)
+    assert report.l_values == tuple(
+        (n, reference_log_integral(spec, n, 7, method, 11, 50_000)) for n in range(1, 5))
 
 
 # ---------------------------------------------------------------------------

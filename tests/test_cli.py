@@ -65,6 +65,9 @@ GRID_FREQUENCIES = [2, 10, 10 ** 20, 10 ** 24, 10 ** 29]
 GRID_SPEC = {**HUGE_SPEC, "frequencies": {"rule": "explicit", "values": GRID_FREQUENCIES}}
 # a frequency beyond the float64 range
 BEYOND_FLOAT_SPEC = {**HUGE_SPEC, "frequencies": {"rule": "explicit", "values": [1, 10 ** 400]}}
+# int64 frequencies whose phases m*t near t = 0.5 reach about 5 * 10^16 > 2^52
+PHASE_FREQUENCIES = [1, 10, 10 ** 15, 10 ** 17]
+PHASE_SPEC = {**HUGE_SPEC, "frequencies": {"rule": "explicit", "values": PHASE_FREQUENCIES}}
 
 
 def test_coeffs_csv_structure(capsys, spec_path):
@@ -329,6 +332,21 @@ def test_float_phase_readers_refuse_exact_integer_frequencies(tmp_path, argv):
     assert err.startswith("refused: ")
     assert str(sum(HUGE_FREQUENCIES)) in err and "2^62" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, reader, reach", [
+    (("interval", "--depth", "3", "--t", "0.5", "--s", "0.1"), "interval_measure", "0.5"),
+    # the measure's reach max(|t|, s) = 0.03 passes, the bound's |t| + s does not
+    (("interval", "--depth", "3", "--t", "0.03", "--s", "0.03"), "interval_upper_bound",
+     "0.06"),
+    (("holder", "--depth", "3", "--t", "0.5", "--scales", "0.5,0.25"), "local_holder", "0.5"),
+])
+def test_float_phase_readers_refuse_phases_beyond_2_52(tmp_path, argv, reader, reach):
+    code, out, err = run_child(*argv, "--spec", write_spec(tmp_path, PHASE_SPEC))
+    assert code == 3 and out == ""
+    assert err.startswith(f"refused: {reader} needs float64 phases")
+    assert f"support bound {sum(PHASE_FREQUENCIES)}" in err
+    assert f"reach {reach} " in err and "2^52" in err
 
 
 def test_expansion_depth_cap(capsys, tmp_path):

@@ -6,15 +6,19 @@ witness is recombined and checked to sum to zero.  Closed forms for the
 column counts and the base recurrence are verified directly.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rieszprod import (
     CapError,
     IntVectorSet,
     Mesh,
+    SignPattern,
     ValidationError,
     build_dissociated_base,
     build_lambda,
@@ -105,6 +109,61 @@ def test_checkers_handle_exact_big_integers():
     independent = IntVectorSet.from_integers([base + j for j in (0, 1, 3)])
     assert qi_check_bruteforce(independent).quasi_independent
     assert qi_check_mitm(independent).quasi_independent
+
+
+def documented_witness(vectors):
+    """The witness order qi_check_mitm documents, by plain enumeration: the
+    first second-half pattern with a nontrivial zero-sum completion, then the
+    first first-half pattern completing it (both halves in mixed-radix
+    order, digits -1, 0, +1, big-endian), led by +1."""
+    half = (len(vectors) + 1) // 2
+
+    def patterns(part):
+        rows = list(itertools.product((-1, 0, 1), repeat=len(part)))
+        return [(row, [sum(e * v[i] for e, v in zip(row, part))
+                       for i in range(len(vectors[0]))]) for row in rows]
+
+    first = patterns(vectors[:half])
+    for row_b, sum_b in patterns(vectors[half:]):
+        for row_a, sum_a in first:
+            signs = row_a + row_b
+            if any(signs) and all(x == -y for x, y in zip(sum_a, sum_b)):
+                lead = next(e for e in signs if e)
+                return SignPattern.from_signs([lead * e for e in signs])
+    return None
+
+
+@st.composite
+def vector_lists(draw):
+    """Up to 8 distinct nonzero vectors of dimension 1 to 3, with small
+    coordinates (many relations), coordinates beyond 2^62 or near it, or a
+    mix, and sometimes a planted relation v_c = v_a +- v_b."""
+    k = draw(st.integers(1, 8))
+    dim = draw(st.integers(1, 3))
+    small, huge = st.integers(-6, 6), st.integers(-2 ** 70, 2 ** 70)
+    near = st.integers(2 ** 62 - 4, 2 ** 62 + 4)
+    coords = draw(st.sampled_from([small, huge, near, st.one_of(small, huge, near)]))
+    vectors = draw(st.lists(st.tuples(*[coords] * dim).filter(any),
+                            min_size=k, max_size=k, unique=True))
+    if k >= 3 and draw(st.booleans()):
+        a, b, c = draw(st.permutations(range(k)))[:3]
+        sign = draw(st.sampled_from((-1, 1)))
+        planted = tuple(x + sign * y for x, y in zip(vectors[a], vectors[b]))
+        if any(planted) and planted not in vectors:
+            vectors[c] = planted
+    return vectors
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(vector_lists())
+@example([(1,), (2,), (3,), (50,), (70,)])  # a relation inside the first half
+@example([(50,), (60,), (70,), (1,), (2,), (3,)])  # one inside the second half
+@example([(1,), (2,), (3,), (10,), (20,), (30,)])  # three first-half matches
+def test_mitm_witness_follows_documented_order(vectors):
+    result = qi_check_mitm(IntVectorSet.from_vectors(vectors))
+    expected = documented_witness(vectors)
+    assert result.quasi_independent == (expected is None)
+    assert result.witness == expected
 
 
 def test_mitm_caps():
