@@ -131,6 +131,8 @@ def _check_lengths(a: CoefficientSequence, b: CoefficientSequence,
         raise ValidationError(
             f"coefficient sequences differ in length: {len(a)} vs {len(b)}",
             "length")
+    if terms < 1:
+        raise ValidationError(f"terms must be >= 1, got {terms}", "length")
     if terms > len(a):
         raise ValidationError(
             f"requested {terms} terms but sequences have {len(a)}", "length")

@@ -190,7 +190,9 @@ def _coeffs(args) -> Report:
 
 def _eval(args) -> Report:
     spec = load_spec(args.spec)
-    if args.grid:
+    if args.grid is not None:
+        if args.grid < 1:
+            raise ValidationError(f"--grid must be >= 1, got {args.grid}", "arguments")
         _check_grid(args.grid, "the evaluation grid")
         ts = 2 * math.pi * np.arange(args.grid) / args.grid
     elif args.t:
@@ -330,6 +332,9 @@ def _mesh_count(args) -> Report:
     if args.k is not None:
         if args.k < len(gens):
             raise ValidationError(f"--k must be >= the block size {len(gens)}", "arguments")
+        if args.k > qi.MESH_GENERATOR_CAP:
+            raise CapError(f"mesh padded to k={args.k} generators; "
+                           f"the cap is {qi.MESH_GENERATOR_CAP}")
         scale = 4 * (sum(gens) + max((abs(x) for x in elements), default=1) + 1)
         gens += [scale * 3 ** i for i in range(args.k - len(gens))]
     result = qi.mesh_intersection(elements, qi.Mesh.unit_box(gens))

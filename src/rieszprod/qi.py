@@ -4,12 +4,13 @@ A finite family of integer vectors is quasi-independent when the only
 combination sum eps_j v_j = 0 with eps_j in {-1,0,1} is the trivial one.
 Two checkers are provided: an exhaustive scan over all 3^k sign patterns
 and a meet-in-the-middle search, each returning a verified witness pattern
-on failure.  The search encodes each vector as one integer sum_i v_i B^i,
-B = 2 k max|v_i| + 1, which is exact because no coordinate of a
-combination reaches B/2; it sorts the first-half sums and looks up the
-negated second-half sums.  Its witness is the first second-half pattern
-with a nontrivial match, combined with the first first-half pattern
-matching it (both in the scan's mixed-radix order).
+on failure.  Both build their sign sums level by level, S -> [S - v, S,
+S + v], in mixed-radix order (digits -1, 0, +1, big-endian).  The search
+encodes each vector as one integer sum_i v_i B^i, B = 2 k max|v_i| + 1,
+which is exact because no coordinate of a combination reaches B/2; it
+sorts the first-half sums and looks up the negated second-half sums.  Its
+witness is the first second-half pattern with a nontrivial match, combined
+with the first first-half pattern matching it (both in that order).
 
 The constructive part builds, level by level,
 
@@ -34,7 +35,6 @@ arbitrary precision (int64 fast paths engage only when provably safe).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -47,6 +47,7 @@ BRUTE_FORCE_CAP = 16
 MITM_CAP = 32
 MITM_HALF_CAP = 2_000_000
 MESH_EXHAUSTIVE_CAP = 16
+MESH_GENERATOR_CAP = 4096
 SIDON_SET_CAP = 64
 SIDON_GRID_BUDGET = 8_000_000
 
@@ -118,17 +119,15 @@ def _index_digits(index: int, k: int) -> list[int]:
     return digits
 
 
-@functools.lru_cache(maxsize=16)
-def _pattern_matrix(k: int) -> np.ndarray:
-    """All 3^k sign rows in mixed-radix order, digits -1,0,+1, big-endian.
-
-    Read-only and cached; the caps keep k <= 13, so the cache holds at most
-    sum_{k<=13} k 3^k bytes, about 30 MB."""
-    idx = np.arange(3 ** k, dtype=np.int64)
-    cols = [((idx // 3 ** (k - 1 - pos)) % 3 - 1).astype(np.int8) for pos in range(k)]
-    mat = np.stack(cols, axis=1) if k else np.zeros((1, 0), dtype=np.int8)
-    mat.setflags(write=False)
-    return mat
+def _sign_sums(values: np.ndarray) -> np.ndarray:
+    """Every {-1,0,1} combination of the rows of ``values`` in mixed-radix
+    order, built level by level, S -> [S - v, S, S + v]; the dtype (int64 or
+    exact object) and the vector shape of ``values`` carry through."""
+    sums = np.zeros((1, *values.shape[1:]), dtype=values.dtype)
+    for v in values:
+        steps = np.array([-v, 0 * v, v], dtype=values.dtype)
+        sums = (sums[:, None] + steps).reshape(-1, *values.shape[1:])
+    return sums
 
 
 def qi_check_bruteforce(vset: IntVectorSet) -> QiCheckResult:
@@ -159,27 +158,15 @@ def qi_check_bruteforce(vset: IntVectorSet) -> QiCheckResult:
 def _brute_int64(vset: IntVectorSet) -> SignPattern | None:
     k = len(vset)
     values = np.array(vset.elements, dtype=np.int64)  # k x d
-    inner = min(k, 12)
-    outer = k - inner
-    pat_inner = _pattern_matrix(inner)
-    inner_sums = pat_inner.astype(np.int64) @ values[outer:]
+    outer = max(k - 12, 0)
+    inner_sums = _sign_sums(values[outer:])
     trivial = (3 ** k - 1) // 2
-    for out_idx in range(3 ** outer):
-        if outer:
-            digits = _index_digits(out_idx, outer)
-            offset = np.zeros(vset.dim, dtype=np.int64)
-            for pos, d in enumerate(digits):
-                offset += (d - 1) * values[pos]
-            sums = inner_sums + offset
-        else:
-            sums = inner_sums
-        hits = np.flatnonzero(np.all(sums == 0, axis=1))
-        base = out_idx * 3 ** inner
+    for out_idx, offset in enumerate(_sign_sums(values[:outer])):
+        hits = np.flatnonzero(np.all(inner_sums + offset == 0, axis=1))
         for h in hits:
-            gidx = base + int(h)
-            if gidx == trivial:
-                continue
-            return _digits_to_pattern(_index_digits(gidx, k))
+            gidx = out_idx * len(inner_sums) + int(h)
+            if gidx != trivial:
+                return _digits_to_pattern(_index_digits(gidx, k))
     return None
 
 
@@ -222,11 +209,12 @@ def qi_check_mitm(vset: IntVectorSet) -> QiCheckResult:
     B = 2 k max|v_i| + 1.  The map is linear, and every coordinate of a
     {-1,0,1} combination is at most k max|v_i| < B/2 in absolute value, so
     a combination vanishes exactly when its encoding does.  The sums over
-    the first ceil(k/2) and the last floor(k/2) elements are int64 when
-    k max|code| < 2^62 and exact Python ints otherwise.  The witness is the
-    first second-half pattern (in mixed-radix order) with a nontrivial
-    match, combined with the first first-half pattern it matches; it is
-    verified, and a set is quasi-independent exactly when no match remains.
+    the first ceil(k/2) and the last floor(k/2) elements are built level by
+    level, int64 when k max|code| < 2^62 and exact Python ints otherwise.
+    The witness is the first second-half pattern (in mixed-radix order)
+    with a nontrivial match, combined with the first first-half pattern it
+    matches; it is verified, and a set is quasi-independent exactly when no
+    match remains.
     """
     k = len(vset)
     if k > MITM_CAP:
@@ -243,8 +231,8 @@ def qi_check_mitm(vset: IntVectorSet) -> QiCheckResult:
     codes = [sum(x * base ** i for i, x in enumerate(v)) for v in vset.elements]
     dtype = np.int64 if k * max(map(abs, codes)) < INT64_LIMIT else object
     values = np.array(codes, dtype=dtype)
-    sums_a = _pattern_matrix(k_a).astype(dtype) @ values[:k_a]
-    need = -(_pattern_matrix(k_b).astype(dtype) @ values[k_a:])
+    sums_a = _sign_sums(values[:k_a])
+    need = -_sign_sums(values[k_a:])
     order = np.argsort(sums_a, kind="stable")
     sorted_a = sums_a[order]
     lo = np.searchsorted(sorted_a, need, "left")

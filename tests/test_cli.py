@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import rieszprod
 from rieszprod.cli import COMMANDS, build_parser, main
 from rieszprod.core import GRID_BUDGET
+from rieszprod.qi import MESH_GENERATOR_CAP
 
 GOOD_SPEC = {
     "frequencies": {"rule": "geometric", "base": 4, "count": 7},
@@ -369,6 +370,9 @@ MONTE_CARLO = ("dim", "--n-min", "1", "--n-max", "1", "--depth", "6",
                "--method", "monte_carlo", "--seed", "1", "--samples")
 
 
+# the path of the row's spec file; rows without it get --spec appended
+SPEC = "SPEC"
+
 REFUSALS = [
     # arguments out of range
     (GOOD_SPEC, ("holder", "--depth", "100", "--t", "0.5", "--scales", "0.5"), 2,
@@ -378,6 +382,9 @@ REFUSALS = [
     (GOOD_SPEC, MONTE_CARLO + ("-1",), 2, "samples must be >= 1, got -1"),
     (GOOD_SPEC, MONTE_CARLO + ("0",), 2, "samples must be >= 1, got 0"),
     (GOOD_SPEC, ("gram", "--j", "-1", "--k", "-1", "--depth", "6"), 2, "j=-1, k=-1"),
+    (GOOD_SPEC, ("eval", "--depth", "3", "--grid", "-5"), 2, "--grid must be >= 1, got -5"),
+    (GOOD_SPEC, ("witness", "--spec-a", SPEC, "--spec-b", SPEC, "--terms", "-3"), 2,
+     "terms must be >= 1, got -3"),
     # non-finite points
     (GOOD_SPEC, ("eval", "--depth", "3", "--t", "0,nan"), 2, "'0,nan'"),
     (GOOD_SPEC, ("interval", "--depth", "3", "--t", "inf", "--s", "0.1"), 2, "'inf'"),
@@ -389,6 +396,9 @@ REFUSALS = [
      f"needs {GRID_BUDGET + 1} points; the grid budget is {GRID_BUDGET}"),
     (GOOD_SPEC, ("eval", "--depth", "3", "--grid", str(GRID_BUDGET + 1)), 3,
      f"needs {GRID_BUDGET + 1} points; the grid budget is {GRID_BUDGET}"),
+    # mesh padding (the spec file serves as a lambda CSV without element rows)
+    (GOOD_SPEC, ("mesh", "count", "--lambda", SPEC, "--block", "1", "--k", "1000000"), 3,
+     f"k=1000000 generators; the cap is {MESH_GENERATOR_CAP}"),
     # phases without float64 precision, frequencies beyond float64
     (HUGE_SPEC, ("eval", "--depth", "3", "--t", "0.5"), 3,
      f"below 2^52; factor 2 has lambda_j = {10 ** 20} and max |t| = 0.5"),
@@ -406,7 +416,10 @@ REFUSALS = [
 @pytest.mark.parametrize("doc, argv, exit_code, named", REFUSALS,
                          ids=[" ".join(argv) for _, argv, _, _ in REFUSALS])
 def test_argument_checks_and_refusals(tmp_path, doc, argv, exit_code, named):
-    code, out, err = run_child(*argv, "--spec", write_spec(tmp_path, doc))
+    path = write_spec(tmp_path, doc)
+    if SPEC not in argv:
+        argv += ("--spec", SPEC)
+    code, out, err = run_child(*(path if arg == SPEC else arg for arg in argv))
     assert code == exit_code and out == ""
     assert err.startswith("invalid: " if exit_code == 2 else "refused: ")
     assert named in err

@@ -1,13 +1,15 @@
 """Quasi-independence checkers, the recursive construction, meshes, Sidon.
 
-The two checkers are each other's oracle (they share no code path: one
-scans all patterns, the other matches half-sums); every negative verdict's
-witness is recombined and checked to sum to zero.  Closed forms for the
-column counts and the base recurrence are verified directly.
+The two checkers are each other's oracle (they share only the sign-sum
+enumerator: one scans all patterns, the other matches half-sums); every
+negative verdict's witness is recombined and checked to sum to zero.
+Closed forms for the column counts and the base recurrence are verified
+directly.
 """
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +171,53 @@ def test_mitm_witness_follows_documented_order(vectors):
 def test_mitm_caps():
     with pytest.raises(CapError):
         qi_check_mitm(IntVectorSet.from_integers(range(1, 34)))
+
+
+def planted_powers(k, t, a, b, vector=False):
+    """Elements 3^j (with a second coordinate (-1)^j (j + 1) when ``vector``),
+    element t replaced by element a + element b: the only relation, up to
+    sign, is v_t - v_a - v_b = 0, since no nontrivial sum c_j 3^j with
+    |c_j| <= 2 vanishes.  Returns the vectors and that relation led by +1."""
+    vectors = [(3 ** j, (-1) ** j * (j + 1)) if vector else (3 ** j,) for j in range(k)]
+    vectors[t] = tuple(x + y for x, y in zip(vectors[a], vectors[b]))
+    signs = [0] * k
+    signs[t], signs[a], signs[b] = 1, -1, -1
+    lead = signs[min(a, b, t)]
+    return vectors, tuple(lead * e for e in signs)
+
+
+# the int64 scan enumerates the first k - 12 elements in an outer loop
+@pytest.mark.parametrize("k, t, a, b, vector", [
+    (16, 2, 0, 1, False),   # inside the outer block
+    (14, 1, 0, 5, False),   # across the outer/inner boundary
+    (13, 10, 3, 7, False),  # inside the inner block
+    (15, 4, 1, 13, True),   # across the boundary, 2-D vectors
+])
+def test_brute_witness_with_outer_block(k, t, a, b, vector):
+    vectors, relation = planted_powers(k, t, a, b, vector)
+    vset = IntVectorSet.from_vectors(vectors)
+    for check in (qi_check_bruteforce, qi_check_mitm):
+        result = check(vset)
+        assert not result.quasi_independent
+        assert result.witness.signs(k) == relation
+
+
+def traced_peak_mb(func, *args):
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_checkers_peak_memory():
+    # the half cap: two halves of 3^13 sums, built level by level
+    halves = IntVectorSet.from_integers([3 ** j for j in range(26)])
+    assert traced_peak_mb(qi_check_mitm, halves) < 128
+    # a full int64 scan of 3^16 patterns
+    dominant = IntVectorSet.from_integers([3 ** j for j in range(16)])
+    assert traced_peak_mb(qi_check_bruteforce, dominant) < 32
 
 
 def test_int_vector_set_invariants():
