@@ -35,6 +35,7 @@ from .core import (
     _check_depth,
     _check_grid,
     _levels,
+    _multiply_factors,
     _require_float_phases,
     convolve_products,
     eval_partial_product,
@@ -426,7 +427,8 @@ def dimension_bounds(spec: RieszSpec, n_range, depth: int,
     with L_n as in ``dimension_integral``.
 
     The arguments of every n are checked first; the grid, P_depth and the
-    Monte Carlo samples are then built once and shared by every n.  These
+    Monte Carlo samples are then built once and shared by every n, and the
+    largest n's P_n is taken on the way to P_depth.  These
     are proxies for the limsup/liminf bracket, labelled as such; both ends
     are clamped to [0, 1] with the clamping recorded.
     """
@@ -454,23 +456,35 @@ def dimension_bounds(spec: RieszSpec, n_range, depth: int,
     nodes = 8 * spec.freqs.prefix_sum(depth)
     _check_grid(nodes, f"the quadrature grid at depth {depth}")
     grid = 2.0 * math.pi * np.arange(nodes) / nodes
-    p_depth = eval_partial_product(spec, depth, grid)
+    top = max(n_range)
+    p_depth = _multiply_factors(spec, grid, np.ones_like(grid), range(top + 1))
+    clipped = {top: int(np.count_nonzero(p_depth < LOG_CLIP))}
+    log_top = np.log(np.clip(p_depth, LOG_CLIP, None))
+    _multiply_factors(spec, grid, p_depth, range(top + 1, depth + 1))
     if method == "monte_carlo":
         cdf = np.cumsum(p_depth)
         cdf /= cdf[-1]
         idx = np.searchsorted(cdf, np.random.default_rng(seed).random(int(samples)),
                               side="left")
+        del cdf
+
+    def log_mean(log_p):
+        mean = np.mean(log_p * p_depth) if method == "quadrature" else np.mean(log_p[idx])
+        return float(mean)
+
+    means = {top: log_mean(log_top)}
+    del log_top
     l_values = []
     for n in n_range:
-        p_n = eval_partial_product(spec, n, grid)
-        clipped = int(np.count_nonzero(p_n < LOG_CLIP))
-        if clipped / grid.size >= MAX_CLIPPED_FRACTION:
+        if n not in means:
+            p_n = eval_partial_product(spec, n, grid)
+            clipped[n] = int(np.count_nonzero(p_n < LOG_CLIP))
+            means[n] = log_mean(np.log(np.clip(p_n, LOG_CLIP, None)))
+        if clipped[n] / grid.size >= MAX_CLIPPED_FRACTION:
             raise ValidationError(
-                f"{clipped} of {grid.size} nodes clipped at the log floor; "
+                f"{clipped[n]} of {grid.size} nodes clipped at the log floor; "
                 "quadrature invalid at this depth", "clipping")
-        log_p = np.log(np.clip(p_n, LOG_CLIP, None))
-        mean = np.mean(log_p * p_depth) if method == "quadrature" else np.mean(log_p[idx])
-        l_values.append((n, float(mean) / math.log(spec.freqs.values[n])))
+        l_values.append((n, means[n] / math.log(spec.freqs.values[n])))
     ls = [l for _, l in l_values]
     lower_raw = 1.0 - max(ls)
     upper_raw = 1.0 - min(ls)

@@ -322,21 +322,22 @@ def _read_elements_csv(path) -> list[int]:
             values.append(int(ln.split(",")[-1]))
         except ValueError:
             continue  # header or non-numeric row
+    if not values:
+        raise SpecFileError([Diagnostic(str(path), "no element rows")])
     return values
 
 
 def _mesh_count(args) -> Report:
-    elements = _read_elements_csv(args.lambda_csv)
     base = qi.build_dissociated_base(args.block)
     gens = list(base.block(args.block))
-    if args.k is not None:
-        if args.k < len(gens):
-            raise ValidationError(f"--k must be >= the block size {len(gens)}", "arguments")
-        if args.k > qi.MESH_GENERATOR_CAP:
-            raise CapError(f"mesh padded to k={args.k} generators; "
-                           f"the cap is {qi.MESH_GENERATOR_CAP}")
-        scale = 4 * (sum(gens) + max((abs(x) for x in elements), default=1) + 1)
-        gens += [scale * 3 ** i for i in range(args.k - len(gens))]
+    k = len(gens) if args.k is None else args.k
+    if k < len(gens):
+        raise ValidationError(f"--k must be >= the block size {len(gens)}", "arguments")
+    if k > qi.MESH_GENERATOR_CAP:
+        raise CapError(f"mesh padded to k={k} generators; the cap is {qi.MESH_GENERATOR_CAP}")
+    elements = _read_elements_csv(args.lambda_csv)
+    scale = 4 * (sum(gens) + max(abs(x) for x in elements) + 1)
+    gens += [scale * 3 ** i for i in range(k - len(gens))]
     result = qi.mesh_intersection(elements, qi.Mesh.unit_box(gens))
     print(f"count: {result.count}")
     return Report(["member"], [[m] for m in result.members], {"count": result.count})

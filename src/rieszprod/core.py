@@ -561,12 +561,21 @@ def eval_partial_product(spec: RieszSpec, n: int, t):
     validate_spec(spec)
     _check_depth(spec, n, "n")
     tt = np.atleast_1d(np.asarray(t, dtype=float))
-    reach = float(np.max(np.abs(tt), initial=0.0))
+    out = _multiply_factors(spec, tt, np.ones_like(tt), range(n + 1))
+    if np.isscalar(t) or np.ndim(t) == 0:
+        return float(out[0])
+    return out
+
+
+def _multiply_factors(spec: RieszSpec, t: np.ndarray, out: np.ndarray,
+                      factors: range) -> np.ndarray:
+    """``out`` multiplied in place by the factors j in ``factors`` at the
+    points ``t``, skipping r_j = 0 and refusing phases lambda_j*t >= 2^52."""
+    reach = float(np.max(np.abs(t), initial=0.0))
     if not math.isfinite(reach):
         raise ValidationError(f"points must be finite, got {reach}", "points")
     num, den = reach.as_integer_ratio()  # lambda_j * reach compared exactly
-    out = np.ones_like(tt)
-    for j in range(n + 1):
+    for j in factors:
         r, lam = spec.coeffs.moduli[j], spec.freqs.values[j]
         if r == 0.0:
             continue
@@ -574,9 +583,7 @@ def eval_partial_product(spec: RieszSpec, n: int, t):
             raise CapError(
                 f"evaluation needs float64 phases lambda_j*t below 2^52; factor {j} has "
                 f"lambda_j = {lam} and max |t| = {reach!r}")
-        out *= 1.0 + r * np.cos(lam * tt + spec.coeffs.phases[j])
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return float(out[0])
+        out *= 1.0 + r * np.cos(lam * t + spec.coeffs.phases[j])
     return out
 
 

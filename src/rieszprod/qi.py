@@ -4,13 +4,19 @@ A finite family of integer vectors is quasi-independent when the only
 combination sum eps_j v_j = 0 with eps_j in {-1,0,1} is the trivial one.
 Two checkers are provided: an exhaustive scan over all 3^k sign patterns
 and a meet-in-the-middle search, each returning a verified witness pattern
-on failure.  Both build their sign sums level by level, S -> [S - v, S,
-S + v], in mixed-radix order (digits -1, 0, +1, big-endian).  The search
-encodes each vector as one integer sum_i v_i B^i, B = 2 k max|v_i| + 1,
-which is exact because no coordinate of a combination reaches B/2; it
-sorts the first-half sums and looks up the negated second-half sums.  Its
-witness is the first second-half pattern with a nontrivial match, combined
-with the first first-half pattern matching it (both in that order).
+on failure.  Both encode each vector as one integer sum_i v_i B^i,
+B = 2 k max|v_i| + 1 (exact, because no coordinate of a combination
+reaches B/2), divide the codes by their gcd and reduce them modulo the
+prime p = 2^57 - 13, so that sums of up to 16 residues stay in int64.
+Both build their sign sums level by level, S -> [S - v, S, S + v], in
+mixed-radix order (digits -1, 0, +1, big-endian).  The scan compares sums
+with one another, the search sorts the first-half sums and looks up the
+negated second-half sums.  A residue match is only a candidate: each is
+checked exactly in the checker's witness order, and past
+QI_FALSE_MATCH_CAP failed candidates the check is refused.  The search's
+witness is the first second-half pattern with a nontrivial match,
+combined with the first first-half pattern matching it (both in that
+order).
 
 The constructive part builds, level by level,
 
@@ -29,8 +35,9 @@ Certified Sidon-constant machinery: the union bound 3 sqrt(3) k sqrt(2k-1)
 and a randomized lower-bound search whose certificate rests on the grid
 sup-norm inflation 1/(1 - pi n / M) for degree-n polynomials on M nodes.
 
-beta grows super-exponentially; everything integer is exact Python
-arbitrary precision (int64 fast paths engage only when provably safe).
+beta grows super-exponentially; the construction is exact Python
+arbitrary precision, and the checkers' int64 sums are residues whose
+matches are verified with exact integers.
 """
 
 from __future__ import annotations
@@ -41,15 +48,19 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import INT64_LIMIT, CapError, SignPattern, ValidationError
+from .core import CapError, SignPattern, ValidationError
 
 BRUTE_FORCE_CAP = 16
 MITM_CAP = 32
 MITM_HALF_CAP = 2_000_000
+QI_FALSE_MATCH_CAP = 10_000
 MESH_EXHAUSTIVE_CAP = 16
 MESH_GENERATOR_CAP = 4096
 SIDON_SET_CAP = 64
 SIDON_GRID_BUDGET = 8_000_000
+
+# the checkers' prime: 16 p < 2^62, so sums of up to 16 residues stay in int64
+RESIDUE_PRIME = 2 ** 57 - 13
 
 
 @dataclass(frozen=True)
@@ -98,157 +109,119 @@ class QiCheckResult:
     witness: SignPattern | None
 
 
-def _verify_witness(vset: IntVectorSet, witness: SignPattern) -> SignPattern:
-    if witness.entries and witness.entries[0][1] == -1:
-        # a witness and its negation are interchangeable; lead with +1
-        witness = SignPattern(tuple((j, -e) for j, e in witness.entries))
-    combo = witness.apply(vset.elements)
-    if witness.is_trivial or any(x != 0 for x in combo):
-        raise AssertionError(f"invalid witness {witness} for {vset}")
-    return witness
-
-
-def _digits_to_pattern(digits: Sequence[int]) -> SignPattern:
-    return SignPattern.from_signs([d - 1 for d in digits])
-
-
-def _index_digits(index: int, k: int) -> list[int]:
-    digits = [0] * k
+def _index_signs(index: int, k: int) -> list[int]:
+    """The signs of pattern ``index`` in mixed-radix order."""
+    signs = [0] * k
     for pos in range(k - 1, -1, -1):
-        index, digits[pos] = divmod(index, 3)
-    return digits
+        index, digit = divmod(index, 3)
+        signs[pos] = digit - 1
+    return signs
+
+
+def _residues(vset: IntVectorSet) -> np.ndarray:
+    """The codes sum_i v_i B^i of the module docstring modulo ``RESIDUE_PRIME``,
+    divided first by their gcd: that keeps every relation, and leaves a
+    code that p does not divide."""
+    base = 2 * len(vset) * vset.max_abs + 1
+    codes = [sum(x * base ** i for i, x in enumerate(v)) for v in vset.elements]
+    gcd = math.gcd(*codes)
+    return np.array([c // gcd % RESIDUE_PRIME for c in codes], dtype=np.int64)
 
 
 def _sign_sums(values: np.ndarray) -> np.ndarray:
-    """Every {-1,0,1} combination of the rows of ``values`` in mixed-radix
-    order, built level by level, S -> [S - v, S, S + v]; the dtype (int64 or
-    exact object) and the vector shape of ``values`` carry through."""
-    sums = np.zeros((1, *values.shape[1:]), dtype=values.dtype)
+    """Every {-1,0,1} combination of the int64 ``values`` in mixed-radix
+    order, built level by level, S -> [S - v, S, S + v]."""
+    sums = np.zeros(1, dtype=np.int64)
     for v in values:
-        steps = np.array([-v, 0 * v, v], dtype=values.dtype)
-        sums = (sums[:, None] + steps).reshape(-1, *values.shape[1:])
+        sums = (sums[:, None] + np.array([-v, 0, v])).reshape(-1)
     return sums
+
+
+def _verdict(vset: IntVectorSet, candidates: Iterable[list[int]]) -> QiCheckResult:
+    """The first candidate (list of signs) whose pattern is a nontrivial
+    relation, checked exactly with ``SignPattern.apply`` and led by +1; a
+    residue match can be a false one, and the trivial pattern always fails.
+    Past ``QI_FALSE_MATCH_CAP`` failed candidates the check is refused."""
+    failed = 0
+    for signs in candidates:
+        pattern = SignPattern.from_signs(signs)
+        if not pattern.is_trivial and not any(pattern.apply(vset.elements)):
+            if pattern.entries[0][1] == -1:
+                # a witness and its negation are interchangeable; lead with +1
+                pattern = SignPattern(tuple((j, -e) for j, e in pattern.entries))
+            return QiCheckResult(False, pattern)
+        failed += 1
+        if failed > QI_FALSE_MATCH_CAP:
+            raise CapError(
+                f"{failed} sign patterns matched modulo p = {RESIDUE_PRIME} but "
+                f"not exactly; the false-match cap is {QI_FALSE_MATCH_CAP}")
+    return QiCheckResult(True, None)
 
 
 def qi_check_bruteforce(vset: IntVectorSet) -> QiCheckResult:
     """Exhaustive scan of all 3^k sign patterns, first witness in scan order.
 
     Capped at 16 elements (3^16 patterns); larger sets are directed to the
-    meet-in-the-middle checker.  Values too large for safe int64 arithmetic
-    fall back to exact Python integers with sound subtree pruning (the
-    pruned subtrees contain no witnesses, so the first witness agrees with
-    the full scan).
+    meet-in-the-middle checker.  The sums of the last min(k, 12) residues
+    are built once and reduced modulo p; each sum of the remaining leading
+    residues is an offset, and the inner sums equal to -offset mod p are
+    the candidates, verified exactly in scan order.
     """
     k = len(vset)
     if k > BRUTE_FORCE_CAP:
         raise CapError(
             f"brute force capped at {BRUTE_FORCE_CAP} elements, got {k}; "
             "use qi_check_mitm")
-    if k == 0:
-        return QiCheckResult(True, None)
-    if vset.max_abs * k < INT64_LIMIT:
-        witness = _brute_int64(vset)
-    else:
-        witness = _brute_exact(vset)
-    if witness is None:
-        return QiCheckResult(True, None)
-    return QiCheckResult(False, _verify_witness(vset, witness))
-
-
-def _brute_int64(vset: IntVectorSet) -> SignPattern | None:
-    k = len(vset)
-    values = np.array(vset.elements, dtype=np.int64)  # k x d
+    residues = _residues(vset)
     outer = max(k - 12, 0)
-    inner_sums = _sign_sums(values[outer:])
-    trivial = (3 ** k - 1) // 2
-    for out_idx, offset in enumerate(_sign_sums(values[:outer])):
-        hits = np.flatnonzero(np.all(inner_sums + offset == 0, axis=1))
-        for h in hits:
-            gidx = out_idx * len(inner_sums) + int(h)
-            if gidx != trivial:
-                return _digits_to_pattern(_index_digits(gidx, k))
-    return None
+    inner = _sign_sums(residues[outer:])
+    np.remainder(inner, RESIDUE_PRIME, out=inner)
 
+    def candidates():
+        for out_idx, offset in enumerate(_sign_sums(residues[:outer])):
+            for h in np.flatnonzero(inner == -offset % RESIDUE_PRIME):
+                yield _index_signs(out_idx * inner.size + int(h), k)
 
-def _brute_exact(vset: IntVectorSet) -> SignPattern | None:
-    k = len(vset)
-    values = vset.elements
-    dim = vset.dim
-    # suffix bound: max possible |contribution| of positions >= j, per axis
-    suffix = [[0] * dim for _ in range(k + 1)]
-    for j in range(k - 1, -1, -1):
-        for i in range(dim):
-            suffix[j][i] = suffix[j + 1][i] + abs(values[j][i])
-    digits = [0] * k
-
-    def dfs(j: int, partial: tuple[int, ...]) -> SignPattern | None:
-        if j == k:
-            if any(x != 0 for x in partial):
-                return None
-            if all(d == 1 for d in digits):
-                return None  # the trivial all-zero pattern
-            return _digits_to_pattern(digits)
-        if any(abs(partial[i]) > suffix[j][i] for i in range(dim)):
-            return None
-        for d in (0, 1, 2):
-            digits[j] = d
-            e = d - 1
-            nxt = tuple(partial[i] + e * values[j][i] for i in range(dim))
-            found = dfs(j + 1, nxt)
-            if found is not None:
-                return found
-        return None
-
-    return dfs(0, (0,) * dim)
+    return _verdict(vset, candidates())
 
 
 def qi_check_mitm(vset: IntVectorSet) -> QiCheckResult:
     """Meet-in-the-middle check: sorted half-pattern sums matched by search.
 
-    Each vector v is encoded as the integer sum_i v_i B^i with
-    B = 2 k max|v_i| + 1.  The map is linear, and every coordinate of a
-    {-1,0,1} combination is at most k max|v_i| < B/2 in absolute value, so
-    a combination vanishes exactly when its encoding does.  The sums over
-    the first ceil(k/2) and the last floor(k/2) elements are built level by
-    level, int64 when k max|code| < 2^62 and exact Python ints otherwise.
-    The witness is the first second-half pattern (in mixed-radix order)
-    with a nontrivial match, combined with the first first-half pattern it
-    matches; it is verified, and a set is quasi-independent exactly when no
-    match remains.
+    The sign sums of the first ceil(k/2) residues and the negated sums of
+    the last floor(k/2) are reduced modulo p and the first are sorted
+    (stably); every equal pair is a candidate.  The witness is the first
+    second-half pattern (in mixed-radix order) with a nontrivial exact
+    match, combined with the first first-half pattern it matches exactly;
+    a set is quasi-independent exactly when no candidate passes.
     """
     k = len(vset)
     if k > MITM_CAP:
         raise CapError(f"meet-in-the-middle capped at {MITM_CAP} elements, got {k}")
-    if k == 0:
-        return QiCheckResult(True, None)
     k_a = (k + 1) // 2
     k_b = k - k_a
     if 3 ** k_a > MITM_HALF_CAP:
         raise CapError(
             f"memory budget exceeded: half enumeration needs 3^{k_a} = "
             f"{3 ** k_a} entries, cap is {MITM_HALF_CAP}")
-    base = 2 * k * vset.max_abs + 1
-    codes = [sum(x * base ** i for i, x in enumerate(v)) for v in vset.elements]
-    dtype = np.int64 if k * max(map(abs, codes)) < INT64_LIMIT else object
-    values = np.array(codes, dtype=dtype)
-    sums_a = _sign_sums(values[:k_a])
-    need = -_sign_sums(values[k_a:])
+    residues = _residues(vset)
+    sums_a = _sign_sums(residues[:k_a])
+    need = _sign_sums(-residues[k_a:])
+    np.remainder(sums_a, RESIDUE_PRIME, out=sums_a)
+    np.remainder(need, RESIDUE_PRIME, out=need)
     order = np.argsort(sums_a, kind="stable")
-    sorted_a = sums_a[order]
-    lo = np.searchsorted(sorted_a, need, "left")
-    hi = np.searchsorted(sorted_a, need, "right")
-    matches = hi - lo
-    matches[(3 ** k_b - 1) // 2] -= 1  # the two trivial half patterns always meet
-    hits = np.flatnonzero(matches)
-    if not hits.size:
-        return QiCheckResult(True, None)
-    idx_b = int(hits[0])
-    # the stable sort keeps first-half indices ascending within a sum; the first
-    # is never the trivial pattern, since of a zero-sum half pattern and its
-    # negation one lies below it
-    idx_a = int(order[lo[idx_b]])
-    digits = _index_digits(idx_a, k_a) + _index_digits(idx_b, k_b)
-    return QiCheckResult(False, _verify_witness(vset, _digits_to_pattern(digits)))
+    sums_a = sums_a[order]
+    lo = np.searchsorted(sums_a, need, "left")
+    hi = np.searchsorted(sums_a, need, "right")
+
+    def candidates():
+        # the stable sort keeps first-half indices ascending within a residue
+        for idx_b in np.flatnonzero(hi > lo):
+            signs_b = _index_signs(int(idx_b), k_b)
+            for pos in range(lo[idx_b], hi[idx_b]):
+                yield _index_signs(int(order[pos]), k_a) + signs_b
+
+    return _verdict(vset, candidates())
 
 
 # ---------------------------------------------------------------------------

@@ -396,9 +396,12 @@ REFUSALS = [
      f"needs {GRID_BUDGET + 1} points; the grid budget is {GRID_BUDGET}"),
     (GOOD_SPEC, ("eval", "--depth", "3", "--grid", str(GRID_BUDGET + 1)), 3,
      f"needs {GRID_BUDGET + 1} points; the grid budget is {GRID_BUDGET}"),
-    # mesh padding (the spec file serves as a lambda CSV without element rows)
+    # mesh padding, checked before the elements are read, and a lambda CSV
+    # without element rows (the spec file serves as one)
     (GOOD_SPEC, ("mesh", "count", "--lambda", SPEC, "--block", "1", "--k", "1000000"), 3,
      f"k=1000000 generators; the cap is {MESH_GENERATOR_CAP}"),
+    (GOOD_SPEC, ("mesh", "count", "--lambda", SPEC, "--block", "1"), 2,
+     "spec.json: no element rows"),
     # phases without float64 precision, frequencies beyond float64
     (HUGE_SPEC, ("eval", "--depth", "3", "--t", "0.5"), 3,
      f"below 2^52; factor 2 has lambda_j = {10 ** 20} and max |t| = 0.5"),

@@ -1,14 +1,18 @@
 """Quasi-independence checkers, the recursive construction, meshes, Sidon.
 
-The two checkers are each other's oracle (they share only the sign-sum
-enumerator: one scans all patterns, the other matches half-sums); every
-negative verdict's witness is recombined and checked to sum to zero.
+The two checkers are each other's oracle: they share the residue encoding,
+the sign-sum enumerator and the exact verification of candidates, but one
+compares every pattern's sum and the other sorts and searches half sums.
+Both are also checked against plain enumerations in their documented
+orders, and every negative verdict's witness is recombined and checked to
+sum to zero.
 Closed forms for the column counts and the base recurrence are verified
 directly.
 """
 
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -33,6 +37,8 @@ from rieszprod import (
     sidon_union_bound,
     verify_mesh_bound,
 )
+from rieszprod.cli import main
+from rieszprod.qi import QI_FALSE_MATCH_CAP, RESIDUE_PRIME
 
 
 def assert_witness_valid(vset, result):
@@ -166,6 +172,94 @@ def test_mitm_witness_follows_documented_order(vectors):
     expected = documented_witness(vectors)
     assert result.quasi_independent == (expected is None)
     assert result.witness == expected
+
+
+def scan_order_witness(vectors):
+    """The brute-force scan's witness by plain enumeration: the first
+    nontrivial zero-sum pattern in mixed-radix order, led by +1."""
+    for signs in itertools.product((-1, 0, 1), repeat=len(vectors)):
+        combo = [sum(e * v[i] for e, v in zip(signs, vectors))
+                 for i in range(len(vectors[0]))]
+        if any(signs) and not any(combo):
+            lead = next(e for e in signs if e)
+            return SignPattern.from_signs([lead * e for e in signs])
+    return None
+
+
+@st.composite
+def checker_sets(draw):
+    """``vector_lists``, or a dominant set scaled beyond 2^62 and listed
+    smallest first (each element exceeds twice the sum of those before it,
+    so the only relation is a planted one)."""
+    if draw(st.booleans()):
+        return draw(vector_lists())
+    k = draw(st.integers(1, 8))
+    scale = draw(st.sampled_from([2 ** 60, 3 ** 40, 2 ** 70 + 1]))
+    values, total = [], 0
+    for _ in range(k):
+        v = 2 * total + 1 + draw(st.integers(0, total // 4 + 1))
+        values.append(v)
+        total += v
+    if k >= 3 and draw(st.booleans()):
+        values[-1] = values[0] + values[1]
+    return [(v * scale,) for v in values]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(checker_sets())
+def test_checkers_agree_with_plain_enumeration(vectors):
+    vset = IntVectorSet.from_vectors(vectors)
+    brute, mitm = qi_check_bruteforce(vset), qi_check_mitm(vset)
+    expected = scan_order_witness(vectors)
+    assert brute.quasi_independent == mitm.quasi_independent == (expected is None)
+    assert brute.witness == expected
+    assert mitm.witness == documented_witness(vectors)
+
+
+def test_residue_prime_is_prime():
+    p = RESIDUE_PRIME
+    assert 16 * p < 2 ** 62
+    # deterministic Miller-Rabin: these bases decide every n < 3.3e24
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            pytest.fail(f"{a} witnesses that {p} is composite")
+
+
+def test_codes_that_are_multiples_of_p():
+    # every residue is 0 before the codes are divided by their gcd
+    p = RESIDUE_PRIME
+    independent = IntVectorSet.from_integers([p * 3 ** j for j in range(14)])
+    dependent = IntVectorSet.from_vectors([(p, 2 * p), (3 * p, p), (4 * p, 3 * p)])
+    for check in (qi_check_bruteforce, qi_check_mitm):
+        assert check(independent).quasi_independent
+        result = check(dependent)
+        assert result.witness.signs(3) == (1, 1, -1)
+
+
+@pytest.mark.parametrize("method", ["brute", "mitm"])
+def test_false_residue_matches_are_refused(capsys, method):
+    # 1, p, 3p, 9p, ...: quasi-independent, but every pattern without the 1
+    # sums to 0 modulo p, so the candidates are all false
+    p = RESIDUE_PRIME
+    values = [1] + [p * 3 ** j for j in range(15)]
+    start = time.perf_counter()
+    code = main(["qi", "check", "--method", method,
+                 "--values=" + ",".join(map(str, values))])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3 and elapsed < 2
+    assert f"{QI_FALSE_MATCH_CAP + 1} sign patterns matched modulo p = {p}" in err
+    assert f"the false-match cap is {QI_FALSE_MATCH_CAP}" in err
 
 
 def test_mitm_caps():
