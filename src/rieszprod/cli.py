@@ -151,10 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class Report(NamedTuple):
-    """A handler's table, its config extras, and the exit code after writing it."""
+    """A handler's table (one column per header name), config extras and exit code."""
 
     header: list[str]
-    rows: list
+    columns: list
     extras: dict = {}
     exit: int = EXIT_OK
 
@@ -173,19 +173,14 @@ def _needs(args, dest: str, flag: str):
     return value
 
 
-def _complex_rows(poly) -> list[tuple]:
-    ms, cs = poly.arrays()
-    return list(zip(ms.tolist(), cs.real.tolist(), cs.imag.tolist()))
-
-
 def _validate(args) -> Report:
-    rows = [[d.path, d.message] for d in schema_validate(args.spec)]
-    return Report(["path", "message"], rows, exit=EXIT_VALIDATION if rows else EXIT_OK)
+    rows = [(d.path, d.message) for d in schema_validate(args.spec)]
+    return Report(["path", "message"], list(zip(*rows)), exit=EXIT_VALIDATION if rows else EXIT_OK)
 
 
 def _coeffs(args) -> Report:
-    poly = expand_partial_product(load_spec(args.spec), args.depth)
-    return Report(["frequency", "re", "im"], _complex_rows(poly))
+    ms, cs = expand_partial_product(load_spec(args.spec), args.depth).arrays()
+    return Report(["frequency", "re", "im"], [ms, cs.real, cs.imag])
 
 
 def _eval(args) -> Report:
@@ -199,25 +194,25 @@ def _eval(args) -> Report:
         ts = np.array(_comma_floats(args.t))
     else:
         raise ValidationError("eval needs --t or --grid", "arguments")
-    values = eval_partial_product(spec, args.depth, ts)
-    return Report(["t", "value"], list(zip(ts.tolist(), values.tolist())))
+    return Report(["t", "value"], [ts, eval_partial_product(spec, args.depth, ts)])
 
 
 def _spectrum(args) -> Report:
     bands = spectrum_bands(load_spec(args.spec), args.depth)
     return Report(["band", "min_freq", "max_freq", "count"],
-                  [[b.index, b.lo, b.hi, len(b.freqs)] for b in bands])
+                  list(zip(*[(b.index, b.lo, b.hi, len(b.freqs)) for b in bands])))
 
 
 def _convolve(args) -> Report:
     pa = expand_partial_product(load_spec(args.spec_a), args.depth)
     pb = expand_partial_product(load_spec(args.spec_b), args.depth)
-    return Report(["frequency", "re", "im"], _complex_rows(convolve_products(pa, pb)))
+    ms, cs = convolve_products(pa, pb).arrays()
+    return Report(["frequency", "re", "im"], [ms, cs.real, cs.imag])
 
 
 def _gram(args) -> Report:
     value = gram_centered_exponentials(load_spec(args.spec), args.j, args.k, args.depth)
-    return Report(["j", "k", "re", "im"], [[args.j, args.k, value.real, value.imag]])
+    return Report(["j", "k", "re", "im"], [[args.j], [args.k], [value.real], [value.imag]])
 
 
 def _energy(args) -> Report:
@@ -229,8 +224,9 @@ def _energy(args) -> Report:
         report = analysis.alpha_energy_direct(poly, args.alpha, cutoff)
     else:
         report = analysis.alpha_energy_band_series(spec, args.alpha, n_max, args.variant)
-    rows = [[report.alpha, ps, report.verdict] for ps in report.partial_sums]
-    return Report(["alpha", "partial_sum", "verdict"], rows, {"variant": report.variant})
+    sums = np.array(report.partial_sums, dtype=float)
+    return Report(["alpha", "partial_sum", "verdict"], [np.full(sums.size, report.alpha), sums,
+                  [report.verdict] * sums.size], {"variant": report.variant})
 
 
 def _dim(args) -> Report:
@@ -240,7 +236,7 @@ def _dim(args) -> Report:
         spec, range(args.n_min, args.n_max + 1), args.depth, method=args.method,
         seed=_require_seed(args) if monte_carlo else 0, samples=args.samples)
     print(f"dimension bracket: [{report.lower!r}, {report.upper!r}]", file=sys.stderr)
-    return Report(["n", "L_n"], [[n, l] for n, l in report.l_values],
+    return Report(["n", "L_n"], list(zip(*report.l_values)),
                   {"lower": report.lower, "upper": report.upper,
                    "generator": "numpy-pcg64" if monte_carlo else None})
 
@@ -248,18 +244,18 @@ def _dim(args) -> Report:
 def _interval(args) -> Report:
     spec = load_spec(args.spec)
     ts, ss = _comma_floats(args.t), _comma_floats(args.s)
-    rows = [[t, s, analysis.interval_measure(spec, args.depth, t, s),
-             analysis.interval_upper_bound(spec, args.n, args.depth, t, s)]
-            for t in ts for s in ss]
-    return Report(["t", "s", "measure", "bound"], rows)
+    pairs = [(t, s) for t in ts for s in ss]
+    values = [(analysis.interval_measure(spec, args.depth, t, s),
+               analysis.interval_upper_bound(spec, args.n, args.depth, t, s)) for t, s in pairs]
+    return Report(["t", "s", "measure", "bound"], [*zip(*pairs), *zip(*values)])
 
 
 def _holder(args) -> Report:
     sample = analysis.local_holder(load_spec(args.spec), args.depth, args.t,
                                    _comma_floats(args.scales))
-    rows = [[sample.t, s, r] for s, r in zip(sample.scales, sample.ratios)]
-    return Report(["t", "s", "ratio"], rows, {"alpha_estimate": sample.alpha_estimate,
-                                              "excluded": len(sample.excluded)})
+    return Report(["t", "s", "ratio"], [[sample.t] * len(sample.scales), sample.scales,
+                                        sample.ratios],
+                  {"alpha_estimate": sample.alpha_estimate, "excluded": len(sample.excluded)})
 
 
 def _classify(args) -> Report:
@@ -267,9 +263,9 @@ def _classify(args) -> Report:
     tails = load_tails(args.tails) if args.tails else None
     verdict = classify.classify_pair(spec_a, spec_b, tails)
     print(f"verdict: {verdict.outcome} criterion: {verdict.criterion}")
-    rows = [[name, i, ps] for name, ev in verdict.evidence
-            for i, ps in enumerate(ev.partial_sums)]
-    return Report(["series", "index", "partial_sum"], rows,
+    return Report(["series", "index", "partial_sum"],
+                  list(zip(*[(name, i, ps) for name, ev in verdict.evidence
+                             for i, ps in enumerate(ev.partial_sums)])),
                   {"outcome": verdict.outcome, "criterion": verdict.criterion})
 
 
@@ -277,9 +273,9 @@ def _witness(args) -> Report:
     spec_a, spec_b = load_spec(args.spec_a), load_spec(args.spec_b)
     terms = args.terms if args.terms is not None else len(spec_a.coeffs)
     witness = classify.build_divergence_witness(spec_a.coeffs, spec_b.coeffs, terms)
-    rows = [[j, c.real, c.imag, inner, l2] for j, (c, inner, l2) in enumerate(
-        zip(witness.c, witness.partial_inner, witness.l2_norm_partial))]
-    return Report(["j", "c_re", "c_im", "partial_inner", "l2_partial"], rows)
+    return Report(["j", "c_re", "c_im", "partial_inner", "l2_partial"],
+                  [range(len(witness.c)), [c.real for c in witness.c],
+                   [c.imag for c in witness.c], witness.partial_inner, witness.l2_norm_partial])
 
 
 def _qi_check(args) -> Report:
@@ -292,36 +288,38 @@ def _qi_check(args) -> Report:
     print(f"verdict: {str(result.quasi_independent).lower()}")
     if witness:
         print(f"witness: {witness}")
-    return Report(["quasi_independent", "witness"], [[result.quasi_independent, witness]])
+    return Report(["quasi_independent", "witness"], [[result.quasi_independent], [witness]])
 
 
 def _qi_build(args) -> Report:
-    matrix = qi.build_qi_matrix(_needs(args, "nu", "--nu"))
-    header = ["col"] + [f"r{i}" for i in range(2 ** args.nu)]
-    rows = [[c] + list(col) for c, col in enumerate(matrix.columns())]
-    return Report(header, rows, {"column_count": matrix.column_count})
+    m = qi.build_qi_matrix(_needs(args, "nu", "--nu"))
+    return Report(["col", *(f"r{i}" for i in range(len(m.rows)))],
+                  [range(m.column_count), *m.rows], {"column_count": m.column_count})
 
 
 def _qi_lambda(args) -> Report:
     lam = qi.build_lambda(_needs(args, "nu", "--nu"))
-    rows = [[ell, nu, lam.gamma[ell]]
-            for nu, block in enumerate(lam.blocks, 1) for ell in range(*block)]
-    return Report(["ell", "block", "gamma"], rows)
+    return Report(["ell", "block", "gamma"], list(zip(*[
+        (ell, nu, lam.gamma[ell]) for nu, block in enumerate(lam.blocks, 1)
+        for ell in range(*block)])))
 
 
 def _read_elements_csv(path) -> list[int]:
-    """Set elements from a CSV: last column of each row, header line skipped."""
+    """Set elements from a CSV: the last column of each row.  Blank lines and
+    '#' lines are skipped; only the first other line may be a header."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+            lines = [(number, ln.strip()) for number, ln in enumerate(fh, 1)
+                     if ln.strip() and not ln.startswith("#")]
     except OSError as err:
         raise SpecFileError([Diagnostic(str(path), f"unreadable file: {err}")])
     values = []
-    for ln in lines:
+    for i, (number, ln) in enumerate(lines):
         try:
             values.append(int(ln.split(",")[-1]))
         except ValueError:
-            continue  # header or non-numeric row
+            if i:  # rows after the header
+                raise SpecFileError([Diagnostic(f"{path}:{number}", f"not an integer: {ln!r}")])
     if not values:
         raise SpecFileError([Diagnostic(str(path), "no element rows")])
     return values
@@ -340,13 +338,13 @@ def _mesh_count(args) -> Report:
     gens += [scale * 3 ** i for i in range(k - len(gens))]
     result = qi.mesh_intersection(elements, qi.Mesh.unit_box(gens))
     print(f"count: {result.count}")
-    return Report(["member"], [[m] for m in result.members], {"count": result.count})
+    return Report(["member"], [result.members], {"count": result.count})
 
 
 def _sidon_bound(args) -> Report:
     value = qi.sidon_union_bound(_needs(args, "k", "--k"))
     print(f"bound: {value!r}")
-    return Report(["k", "bound"], [[args.k, value]])
+    return Report(["k", "bound"], [[args.k], [value]])
 
 
 def _sidon_estimate(args) -> Report:
@@ -355,9 +353,8 @@ def _sidon_estimate(args) -> Report:
                                        grid_size=args.grid)
     print(f"certified lower bound: {estimate.lower_bound!r}")
     return Report(["lower_bound", "grid_ratio", "grid_size", "degree", "factor"],
-                  [[estimate.lower_bound, estimate.grid_ratio, estimate.grid_size,
-                    estimate.degree, estimate.factor]],
-                  {"generator": estimate.generator})
+                  [[estimate.lower_bound], [estimate.grid_ratio], [estimate.grid_size],
+                   [estimate.degree], [estimate.factor]], {"generator": estimate.generator})
 
 
 # (command, mode) -> handler; a command without modes has mode None
@@ -378,7 +375,7 @@ def run(args) -> int:
     config = {k: v for k, v in sorted(vars(args).items()) if v is not None}
     config.update({k: v for k, v in report.extras.items() if v is not None})
     out = args.out or getattr(args, "emit", None)
-    text = write_report(out, args.format, report.header, report.rows, config)
+    text = write_report(out, args.format, report.header, report.columns, config)
     if not out:
         sys.stdout.write(text)
     return report.exit

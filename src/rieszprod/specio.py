@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .classify import TAILS, TailDeclarations
 from .core import (
     CoefficientSequence,
@@ -263,27 +265,48 @@ def _cell(value) -> str:
     return text
 
 
-def render_csv(header, rows, config) -> str:
-    lines = ["# config: " + json.dumps(config, sort_keys=True)]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+CHUNK_ROWS = 1 << 15  # rows formatted per step: a few MB of cells
 
 
-def render_json(header, rows, config) -> str:
-    payload = {
-        "config": config,
-        "header": list(header),
-        "rows": [list(row) for row in rows],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _cells(chunk, fmt: str):
+    """One chunk of a column as text: repr for float64 arrays, str for int64
+    and object (exact integer) arrays, else ``_cell`` or the JSON encoder."""
+    if isinstance(chunk, np.ndarray):
+        if chunk.dtype.kind == "f" and (fmt == "csv" or np.isfinite(chunk).all()):
+            return map(repr, chunk.tolist())
+        if chunk.dtype.kind in "iuO":
+            return map(str, chunk.tolist())
+        chunk = chunk.tolist()
+    return map(_cell if fmt == "csv" else json.dumps, chunk)
 
 
-def write_report(out_path, fmt: str, header, rows, config) -> str:
-    """Render the table and write it (or return it for stdout)."""
-    text = render_csv(header, rows, config) if fmt == "csv" \
-        else render_json(header, rows, config)
+def _rows(columns, fmt: str, cell_sep: str, row_sep: str) -> list[str]:
+    """Every row, CHUNK_ROWS rows to a string, each followed by row_sep; no columns, no rows."""
+    pieces = []
+    for lo in range(0, len(columns[0]) if columns else 0, CHUNK_ROWS):
+        rows = zip(*(_cells(col[lo:lo + CHUNK_ROWS], fmt) for col in columns))
+        pieces += (row_sep.join(map(cell_sep.join, rows)), row_sep)
+    return pieces
+
+
+def render(fmt: str, header, columns, config) -> list[str]:
+    """The report in pieces of text.  CSV: the config on a '#' line, the
+    header, the rows.  JSON: json.dumps({"config", "header", "rows"},
+    sort_keys=True, indent=2) and a newline."""
+    if fmt == "csv":
+        return [f"# config: {json.dumps(config, sort_keys=True)}\n{','.join(header)}\n",
+                *_rows(columns, fmt, ",", "\n")]
+    head, tail = json.dumps({"config": config, "header": list(header), "rows": []},
+                            sort_keys=True, indent=2).rsplit("[]", 1)  # "rows" sorts last
+    rows = _rows(columns, fmt, ",\n      ", "\n    ],\n    [\n      ")
+    body = ["[\n    [\n      ", *rows[:-1], "\n    ]\n  ]"] if rows else ["[]"]
+    return [head, *body, tail + "\n"]  # rows[-1] is the separator after the last row
+
+
+def write_report(out_path, fmt: str, header, columns, config) -> str:
+    """Render the columns, write the pieces to ``out_path`` if given, return the text."""
+    pieces = render(fmt, header, columns, config)
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    return text
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
+    return "".join(pieces)

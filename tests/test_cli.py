@@ -128,6 +128,16 @@ def test_qi_build_and_lambda_roundtrip_through_mesh(capsys, tmp_path):
     assert "count: 8" in out
 
 
+def test_mesh_count_rejects_a_bad_element_row(tmp_path):
+    # only the first line after comments may be a header; a later row that
+    # is not an integer is named with its line number, never dropped
+    lambda_csv = tmp_path / "gamma.csv"
+    lambda_csv.write_text("# elements\ngamma\n10\n1x7\n-3\n", encoding="utf-8")
+    code, out, err = run_child("mesh", "count", "--lambda", str(lambda_csv), "--block", "1")
+    assert code == 2 and out == ""
+    assert err == f"invalid: {lambda_csv}:4: not an integer: '1x7'\n"
+
+
 def test_mesh_padded_generators_keep_count(capsys, tmp_path):
     lambda_csv = tmp_path / "lambda.csv"
     main(["qi", "lambda", "--nu", "2", "--emit", str(lambda_csv)])

@@ -1,16 +1,22 @@
 """Spec file schema validation and report rendering."""
 
 import json
+import math
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rieszprod import load_spec, schema_validate
+from rieszprod import load_spec, schema_validate, specio
 from rieszprod.specio import (
+    CHUNK_ROWS,
     SpecFileError,
     load_tails,
-    render_csv,
-    render_json,
+    render,
     validate_document,
+    write_report,
 )
 
 
@@ -125,7 +131,7 @@ def test_load_tails(tmp_path):
 
 
 def test_render_csv_shape():
-    text = render_csv(["a", "b"], [[1, 0.5], [2, 0.25]], {"command": "x"})
+    text = "".join(render("csv", ["a", "b"], [[1, 2], [0.5, 0.25]], {"command": "x"}))
     lines = text.splitlines()
     assert lines[0].startswith("# config: ")
     assert lines[1] == "a,b"
@@ -134,7 +140,106 @@ def test_render_csv_shape():
 
 
 def test_render_json_roundtrip():
-    text = render_json(["a"], [[1.25]], {"seed": 3})
+    text = "".join(render("json", ["a"], [[1.25]], {"seed": 3}))
     payload = json.loads(text)
     assert payload["rows"] == [[1.25]]
     assert payload["config"]["seed"] == 3
+
+
+# The row-by-row renderers that the column renderer replaced: the reference
+# for its bytes.
+
+
+def row_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    text = str(value)
+    if any(ch in text for ch in (",", '"', "\n")):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def row_csv(header, rows, config) -> str:
+    lines = ["# config: " + json.dumps(config, sort_keys=True)]
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(row_cell(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def row_json(header, rows, config) -> str:
+    payload = {"config": config, "header": list(header), "rows": [list(r) for r in rows]}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310,
+                  1e16, 1e-5, 1.0, -1.7976931348623157e308, 0.1 + 0.2]
+SPECIAL_INTS = [0, -1, 2 ** 63 - 1, -2 ** 63]
+BEYOND_INT64 = [2 ** 63, -2 ** 63 - 1, 10 ** 30, -(3 ** 90)]
+TEXT = st.text(alphabet=st.sampled_from(list('ab ,"\n\r\tz\\é\u2028')), max_size=6)
+
+# column kind -> (value strategy, how a pool of values becomes the column)
+COLUMN_KINDS = {
+    "float64": (st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+                lambda v: np.array(v, dtype=np.float64)),
+    "int64": (st.one_of(st.sampled_from(SPECIAL_INTS), st.integers(-2 ** 63, 2 ** 63 - 1)),
+              lambda v: np.array(v, dtype=np.int64)),
+    "object": (st.one_of(st.sampled_from(BEYOND_INT64), st.integers()),
+               lambda v: np.array(v, dtype=object)),
+    "bool": (st.booleans(), list),
+    "bool array": (st.booleans(), lambda v: np.array(v, dtype=bool)),
+    "str": (TEXT, list),
+    "float list": (st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()), list),
+    "int list": (st.one_of(st.sampled_from(BEYOND_INT64), st.integers()), list),
+}
+
+
+@st.composite
+def tables(draw):
+    """(chunk size, header, columns, rows): every column holds n rows cycled
+    from a drawn pool; n is 0, 1, or sits on or beside a chunk boundary."""
+    chunk = draw(st.sampled_from([1, 3, 8]))
+    n = draw(st.sampled_from([0, 1, 2, chunk - 1, chunk, chunk + 1, 3 * chunk,
+                              3 * chunk + 1]))
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=4))
+    columns = []
+    for kind in kinds:
+        values, build = COLUMN_KINDS[kind]
+        pool = draw(st.lists(values, min_size=1, max_size=5))
+        columns.append(build([pool[i % len(pool)] for i in range(n)]))
+    as_lists = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    rows = [[col[i] for col in as_lists] for i in range(n)]
+    header = [f"{kind}{i}" for i, kind in enumerate(kinds)]
+    return chunk, header, columns, rows
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(tables(), st.dictionaries(st.sampled_from(["seed", "out", "x"]),
+                                 st.one_of(st.integers(), TEXT), max_size=2))
+def test_column_renderer_matches_row_renderer(table, config):
+    chunk, header, columns, rows = table
+    with mock.patch.object(specio, "CHUNK_ROWS", chunk):
+        csv_text = "".join(render("csv", header, columns, config))
+        json_text = "".join(render("json", header, columns, config))
+    assert csv_text.encode("utf-8") == row_csv(header, rows, config).encode("utf-8")
+    assert json_text.encode("utf-8") == row_json(header, rows, config).encode("utf-8")
+    if not rows:  # an empty table may also come as no columns at all
+        assert "".join(render("csv", header, [], config)) == csv_text
+        assert "".join(render("json", header, [], config)) == json_text
+
+
+@pytest.mark.parametrize("fmt, reference", [("csv", row_csv), ("json", row_json)])
+@pytest.mark.parametrize("n", [CHUNK_ROWS, 2 * CHUNK_ROWS + 5])
+def test_write_report_at_chunk_boundaries(tmp_path, fmt, reference, n):
+    rng = np.random.default_rng(n)
+    ms = np.arange(n, dtype=np.int64) - n // 2
+    re, im = rng.standard_normal(n), rng.standard_normal(n) * 1e-300
+    re[::7] = -0.0
+    verdict = ["a, \"b\""] * n
+    path = tmp_path / f"report.{fmt}"
+    text = write_report(path, fmt, ["m", "re", "im", "v"], [ms, re, im, verdict], {"n": n})
+    assert path.read_bytes() == text.encode("utf-8")
+    rows = list(zip(ms.tolist(), re.tolist(), im.tolist(), verdict))
+    assert text == reference(["m", "re", "im", "v"], rows, {"n": n})
