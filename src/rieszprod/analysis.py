@@ -38,9 +38,7 @@ from .core import (
     _multiply_factors,
     _require_float_phases,
     convolve_products,
-    eval_partial_product,
     expand_partial_product,
-    validate_spec,
 )
 
 VERDICT_CONVERGENT = "convergent"
@@ -169,7 +167,6 @@ def alpha_energy_band_series(spec: RieszSpec, alpha: float, n_max: int,
     w of the depth-(n-1) product; this matches the direct sum over the
     expansion termwise.
     """
-    validate_spec(spec)
     _check_alpha(alpha)
     if spec.regime != LACUNARY3:
         raise RegimeError("band series require the lacunary3 regime", "regime")
@@ -224,7 +221,6 @@ def energy_dimension_bound(spec: RieszSpec, variant: str = "band_exact",
     anything else the supremum of certifiably convergent alpha is located
     by bisection to 1e-4 on the band series verdicts.
     """
-    validate_spec(spec)
     if variant not in ("band_paper", "band_exact"):
         raise ValidationError(f"unknown variant {variant!r}", "variant")
     q = spec.freqs.is_geometric()
@@ -283,7 +279,6 @@ def smooth_by_vp(spec: RieszSpec, n: int, depth: int, t):
     coefficient.  Refused when the gap fails (the identity is not
     guaranteed there).
     """
-    validate_spec(spec)
     if spec.regime != LACUNARY3:
         raise RegimeError("kernel smoothing requires the lacunary3 regime", "regime")
     if not 0 <= n < depth <= spec.last_index:
@@ -308,7 +303,6 @@ def interval_measure(spec: RieszSpec, depth: int, t: float, s: float) -> float:
     Termwise antiderivative of the sparse expansion:
     s/pi + (1/pi) sum_{m>0} Re(c_m e^{imt}) 2 sin(ms)/m ... folded over +-m.
     """
-    validate_spec(spec)
     if not 0.0 < s <= math.pi:
         raise ValidationError(f"s must lie in (0, pi], got {s}", "scale")
     _require_float_phases(spec, depth, "interval_measure", max(abs(t), s))
@@ -333,7 +327,6 @@ def interval_upper_bound(spec: RieszSpec, N: int, J_max: int, t: float,
     guaranteed margin below every frequency that enters after depth j.
     Dominates the depth-J_max interval mass.
     """
-    validate_spec(spec)
     if spec.regime != LACUNARY3:
         raise RegimeError("the interval bound requires the lacunary3 regime", "regime")
     if not 0 <= N < J_max <= spec.last_index:
@@ -345,11 +338,7 @@ def interval_upper_bound(spec: RieszSpec, N: int, J_max: int, t: float,
     _require_float_phases(spec, J_max, "interval_upper_bound", abs(t) + s)
     total = interval_measure(spec, N, t, s)
     for j in range(N, J_max):
-        nu = spec.freqs.spectral_margin(j)
-        if nu <= 0:
-            raise ValidationError(
-                f"margin nu_j <= 0 at j={j}: lacunarity insufficient for the bound",
-                "margin", j)
+        nu = spec.freqs.spectral_margin(j)  # > 1.5 lambda_j > 0 in the lacunary3 regime
         # supp P_j lies inside supp P_{j+1}: add P_j into a copy of P_{j+1}
         mj, cj = expand_partial_product(spec, j).arrays()
         ms, cs = expand_partial_product(spec, j + 1).arrays()
@@ -370,7 +359,6 @@ def local_holder(spec: RieszSpec, depth: int, t: float,
     exponent estimate is the minimum over the three smallest admissible
     scales, a finite proxy for the liminf.
     """
-    validate_spec(spec)
     _check_depth(spec, depth)
     if not math.isfinite(t):
         raise ValidationError(f"t must be finite, got {t}", "t")
@@ -427,15 +415,15 @@ def dimension_bounds(spec: RieszSpec, n_range, depth: int,
     with L_n as in ``dimension_integral``.
 
     The arguments of every n are checked first; the grid, P_depth and the
-    Monte Carlo samples are then built once and shared by every n, and the
-    largest n's P_n is taken on the way to P_depth.  These
+    Monte Carlo samples are then built once and shared by every n, and a
+    second factor chain takes P_n for the distinct n in ascending order
+    (the smallest n over the clipping cap is the one refused).  These
     are proxies for the limsup/liminf bracket, labelled as such; both ends
     are clamped to [0, 1] with the clamping recorded.
     """
     n_range = tuple(int(n) for n in n_range)
     if not n_range:
         raise ValidationError("n_range is empty", "n_range")
-    validate_spec(spec)
     _check_depth(spec, depth)
     for n in n_range:
         _check_depth(spec, n, "n")
@@ -456,41 +444,29 @@ def dimension_bounds(spec: RieszSpec, n_range, depth: int,
     nodes = 8 * spec.freqs.prefix_sum(depth)
     _check_grid(nodes, f"the quadrature grid at depth {depth}")
     grid = 2.0 * math.pi * np.arange(nodes) / nodes
-    top = max(n_range)
-    p_depth = _multiply_factors(spec, grid, np.ones_like(grid), range(top + 1))
-    clipped = {top: int(np.count_nonzero(p_depth < LOG_CLIP))}
-    log_top = np.log(np.clip(p_depth, LOG_CLIP, None))
-    _multiply_factors(spec, grid, p_depth, range(top + 1, depth + 1))
-    if method == "monte_carlo":
-        cdf = np.cumsum(p_depth)
+    p_depth = _multiply_factors(spec, grid, np.ones_like(grid), range(depth + 1))
+    if method == "monte_carlo":  # P_depth is needed only as the CDF: build it in place
+        cdf = np.cumsum(p_depth, out=p_depth)
         cdf /= cdf[-1]
         idx = np.searchsorted(cdf, np.random.default_rng(seed).random(int(samples)),
                               side="left")
-        del cdf
-
-    def log_mean(log_p):
-        mean = np.mean(log_p * p_depth) if method == "quadrature" else np.mean(log_p[idx])
-        return float(mean)
-
-    means = {top: log_mean(log_top)}
-    del log_top
-    l_values = []
-    for n in n_range:
-        if n not in means:
-            p_n = eval_partial_product(spec, n, grid)
-            clipped[n] = int(np.count_nonzero(p_n < LOG_CLIP))
-            means[n] = log_mean(np.log(np.clip(p_n, LOG_CLIP, None)))
-        if clipped[n] / grid.size >= MAX_CLIPPED_FRACTION:
+    p_n, done, means = np.ones_like(grid), 0, {}
+    for n in sorted(set(n_range)):
+        _multiply_factors(spec, grid, p_n, range(done, n + 1))
+        done = n + 1
+        clipped = int(np.count_nonzero(p_n < LOG_CLIP))
+        if clipped / grid.size >= MAX_CLIPPED_FRACTION:
             raise ValidationError(
-                f"{clipped[n]} of {grid.size} nodes clipped at the log floor; "
+                f"{clipped} of {grid.size} nodes clipped at the log floor; "
                 "quadrature invalid at this depth", "clipping")
-        l_values.append((n, means[n] / math.log(spec.freqs.values[n])))
-    ls = [l for _, l in l_values]
+        log_p = np.log(np.clip(p_n, LOG_CLIP, None))
+        means[n] = float(np.mean(log_p * p_depth if method == "quadrature" else log_p[idx]))
+    ls = [means[n] / math.log(spec.freqs.values[n]) for n in n_range]
     lower_raw = 1.0 - max(ls)
     upper_raw = 1.0 - min(ls)
     lower = min(max(lower_raw, 0.0), 1.0)
     upper = min(max(upper_raw, 0.0), 1.0)
-    return DimensionReport(n_range, tuple(l_values), lower, upper, method,
+    return DimensionReport(n_range, tuple(zip(n_range, ls)), lower, upper, method,
                            clamped=(lower != lower_raw or upper != upper_raw),
                            lower_raw=lower_raw, upper_raw=upper_raw)
 
@@ -509,7 +485,6 @@ def holder_transfer_check(spec: RieszSpec, beta: float, n_range,
     sequence, so it can be tracked across specs.  Requires strict
     lacunarity ratio_min > 3 with ratio_max finite.
     """
-    validate_spec(spec)
     if spec.regime != LACUNARY3 or not (spec.freqs.ratio_min > 3.0
                                         and math.isfinite(spec.freqs.ratio_max)):
         raise RegimeError(
@@ -521,8 +496,10 @@ def holder_transfer_check(spec: RieszSpec, beta: float, n_range,
         interval_measure(spec, depth, t, s) / s ** beta
         for t in t_grid for s in s_grid)
     t_arr = np.asarray(t_grid, dtype=float)
-    big_c_prime = max(
-        float(np.max(eval_partial_product(spec, n, t_arr)))
-        / spec.freqs.values[n] ** (1.0 - beta)
-        for n in n_range)
-    return big_c, big_c_prime
+    p_n, done, peaks = np.ones_like(t_arr), 0, {}
+    for n in sorted(set(n_range)):  # one factor chain for every P_n
+        _check_depth(spec, n, "n")
+        _multiply_factors(spec, t_arr, p_n, range(done, n + 1))
+        done = n + 1
+        peaks[n] = float(np.max(p_n)) / spec.freqs.values[n] ** (1.0 - beta)
+    return big_c, max(peaks.values())

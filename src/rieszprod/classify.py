@@ -35,7 +35,6 @@ from .core import (
     RegimeError,
     RieszSpec,
     ValidationError,
-    validate_spec,
 )
 
 TAIL_DIVERGENT = "divergent"
@@ -218,8 +217,6 @@ def classify_pair(spec_a: RieszSpec, spec_b: RieszSpec,
     trends alone never fire a rule.
     """
     tails = tails or TailDeclarations()
-    validate_spec(spec_a)
-    validate_spec(spec_b)
     if spec_a.regime != LACUNARY3 or spec_b.regime != LACUNARY3:
         raise RegimeError("classification requires the lacunary3 regime", "regime")
     if spec_a.freqs != spec_b.freqs:

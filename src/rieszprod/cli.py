@@ -326,17 +326,14 @@ def _read_elements_csv(path) -> list[int]:
 
 
 def _mesh_count(args) -> Report:
-    base = qi.build_dissociated_base(args.block)
-    gens = list(base.block(args.block))
+    gens = qi.build_dissociated_base(args.block).block(args.block)
     k = len(gens) if args.k is None else args.k
     if k < len(gens):
         raise ValidationError(f"--k must be >= the block size {len(gens)}", "arguments")
     if k > qi.MESH_GENERATOR_CAP:
         raise CapError(f"mesh padded to k={k} generators; the cap is {qi.MESH_GENERATOR_CAP}")
     elements = _read_elements_csv(args.lambda_csv)
-    scale = 4 * (sum(gens) + max(abs(x) for x in elements) + 1)
-    gens += [scale * 3 ** i for i in range(k - len(gens))]
-    result = qi.mesh_intersection(elements, qi.Mesh.unit_box(gens))
+    result = qi.mesh_intersection(elements, qi.Mesh.padded_unit_box(gens, k, elements))
     print(f"count: {result.count}")
     return Report(["member"], [result.members], {"count": result.count})
 
@@ -375,9 +372,7 @@ def run(args) -> int:
     config = {k: v for k, v in sorted(vars(args).items()) if v is not None}
     config.update({k: v for k, v in report.extras.items() if v is not None})
     out = args.out or getattr(args, "emit", None)
-    text = write_report(out, args.format, report.header, report.columns, config)
-    if not out:
-        sys.stdout.write(text)
+    write_report(out, args.format, report.header, report.columns, config)
     return report.exit
 
 

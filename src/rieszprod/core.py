@@ -197,9 +197,9 @@ class CoefficientSequence:
     """Complex coefficients a_j stored as moduli r_j >= 0 and phases in [0, 2pi).
 
     Canonical form: r_j = 0 forces theta_j = 0, so coefficient equality is
-    well defined.  The modulus bound r_j <= 1 is a *spec* condition checked
-    by ``validate_spec``, not a construction-time constraint (rejected specs
-    must be expressible).
+    well defined.  Moduli and phases must be finite.  The modulus bound
+    r_j <= 1 is a *spec* condition checked by ``validate_spec``: a sequence
+    with r_j > 1 can be built, a ``RieszSpec`` holding one cannot.
     """
 
     moduli: tuple[float, ...]
@@ -210,11 +210,13 @@ class CoefficientSequence:
         th = tuple(float(x) for x in self.phases)
         if len(r) != len(th):
             raise ValidationError("moduli and phases length mismatch", "length")
-        for j, x in enumerate(r):
+        for j, (x, phase) in enumerate(zip(r, th)):
             if not math.isfinite(x) or x < 0.0:
-                raise ValidationError(
-                    f"modulus at index {j} is {x}, must be finite and >= 0",
-                    "modulus", j)
+                raise ValidationError(f"modulus at index {j} is {x}, must be finite and >= 0",
+                                      "modulus", j)
+            if not math.isfinite(phase):
+                raise ValidationError(f"phase at index {j} is {phase}, must be finite",
+                                      "phase", j)
         th = tuple(_canonical_phase(r[j], th[j]) for j in range(len(r)))
         object.__setattr__(self, "moduli", r)
         object.__setattr__(self, "phases", th)
@@ -248,7 +250,8 @@ class CoefficientSequence:
 
 @dataclass(frozen=True)
 class RieszSpec:
-    """Frequencies plus coefficients plus the regime they are meant for."""
+    """Frequencies plus coefficients plus the regime they are meant for, valid by
+    construction: building one (also by ``dataclasses.replace``) runs ``validate_spec``."""
 
     freqs: FrequencySequence
     coeffs: CoefficientSequence
@@ -263,6 +266,7 @@ class RieszSpec:
             raise ValidationError(
                 f"{len(self.freqs)} frequencies but {len(self.coeffs)} coefficients",
                 "length")
+        validate_spec(self)
 
     @property
     def last_index(self) -> int:
@@ -273,7 +277,8 @@ class RieszSpec:
 
 
 def validate_spec(spec: RieszSpec) -> RieszSpec:
-    """Check the structural conditions of the spec's regime and return it.
+    """Check the structural conditions of the spec's regime and return it
+    (every ``RieszSpec`` runs this when it is built).
 
     lacunary3: lambda_{j+1}/lambda_j >= 3 for all j, and every |a_j| <= 1.
     dyadic:    lambda_j = 2^j exactly, and sup |a_j| < 1 strictly.
@@ -418,11 +423,16 @@ class TrigPolynomial:
 
     def evaluate(self, t):
         """sum_m c_m e^{imt}; real array/scalar when Hermitian.  Refused for
-        exact-integer frequencies, whose float64 phases m*t mean nothing."""
+        exact-integer frequencies, whose float64 phases m*t mean nothing, and
+        once the degree times max |t| reaches 2^52."""
         if self._freqs.dtype == object:
             raise CapError(f"evaluation needs float64 phases m*t; frequencies reach "
                            f"{self.degree} >= 2^62")
         tt = np.atleast_1d(np.asarray(t, dtype=float))
+        reach = float(np.max(np.abs(tt), initial=0.0))
+        if _phase_limit_reached(self.degree, reach):
+            raise CapError(f"evaluation needs float64 phases m*t below 2^52; the degree "
+                           f"{self.degree} times max |t| = {reach!r} is >= 2^52")
         out = np.exp(1j * np.outer(tt, self._freqs)) @ self._coeffs
         if self._real_valued:
             out = out.real
@@ -470,6 +480,14 @@ def _support_bound(spec: RieszSpec, depth: int) -> int:
                if r > 0.0)
 
 
+def _phase_limit_reached(bound: int, reach: float) -> bool:
+    """bound * reach >= 2^52, compared exactly; a non-finite reach is a ValidationError."""
+    if not math.isfinite(reach):
+        raise ValidationError(f"points must be finite, got {reach}", "points")
+    num, den = float(reach).as_integer_ratio()
+    return bound * num >= PHASE_LIMIT * den
+
+
 def _require_float_phases(spec: RieszSpec, depth: int, reader: str, reach: float) -> None:
     """Refuse a reader that forms float64 phases m*t, |t| <= reach, from an
     expansion with exact-integer frequencies or with phases reaching 2^52,
@@ -479,10 +497,7 @@ def _require_float_phases(spec: RieszSpec, depth: int, reader: str, reach: float
         raise CapError(
             f"{reader} needs float64 phases m*t, but the frequencies with a nonzero "
             f"coefficient through depth {depth} have prefix sum {bound} >= 2^62")
-    if not math.isfinite(reach):
-        raise ValidationError(f"points must be finite, got {reach}", "points")
-    num, den = float(reach).as_integer_ratio()  # bound * reach compared exactly
-    if bound * num >= PHASE_LIMIT * den:
+    if _phase_limit_reached(bound, reach):
         raise CapError(
             f"{reader} needs float64 phases m*t below 2^52, but the support bound "
             f"{bound} through depth {depth} times the reach {reach!r} of the points is >= 2^52")
@@ -545,7 +560,6 @@ def expand_partial_product(spec: RieszSpec, n: int) -> TrigPolynomial:
     frequencies collide; in the dyadic regime colliding sign patterns
     aggregate.  The mean value (coefficient at 0) is 1.
     """
-    validate_spec(spec)
     _check_depth(spec, n, "n")
     return _expansion(spec, n)
 
@@ -558,7 +572,6 @@ def eval_partial_product(spec: RieszSpec, n: int, t):
     refused once a phase lambda_j*t of a factor with r_j > 0 reaches 2^52,
     where float64 keeps no fractional digit.
     """
-    validate_spec(spec)
     _check_depth(spec, n, "n")
     tt = np.atleast_1d(np.asarray(t, dtype=float))
     out = _multiply_factors(spec, tt, np.ones_like(tt), range(n + 1))
@@ -572,14 +585,12 @@ def _multiply_factors(spec: RieszSpec, t: np.ndarray, out: np.ndarray,
     """``out`` multiplied in place by the factors j in ``factors`` at the
     points ``t``, skipping r_j = 0 and refusing phases lambda_j*t >= 2^52."""
     reach = float(np.max(np.abs(t), initial=0.0))
-    if not math.isfinite(reach):
-        raise ValidationError(f"points must be finite, got {reach}", "points")
-    num, den = reach.as_integer_ratio()  # lambda_j * reach compared exactly
+    _phase_limit_reached(0, reach)  # non-finite points are refused even when no factor runs
     for j in factors:
         r, lam = spec.coeffs.moduli[j], spec.freqs.values[j]
         if r == 0.0:
             continue
-        if lam > sys.float_info.max or lam * num >= PHASE_LIMIT * den:
+        if lam > sys.float_info.max or _phase_limit_reached(lam, reach):
             raise CapError(
                 f"evaluation needs float64 phases lambda_j*t below 2^52; factor {j} has "
                 f"lambda_j = {lam} and max |t| = {reach!r}")
@@ -643,7 +654,6 @@ def fourier_coefficient(spec: RieszSpec, m: int, depth: int) -> FourierCoefficie
     appended: |m| <= sum_{i<=depth} lambda_i and the next frequency clears
     that sum by more than |m| (always true at the final index).
     """
-    validate_spec(spec)
     _check_depth(spec, depth, "depth")
     stable = _stable_at(spec, m, depth)
     if spec.regime == DYADIC:
@@ -663,7 +673,6 @@ def spectrum_bands(spec: RieszSpec, depth: int) -> list[SpectralBand]:
     bands are disjoint in the lacunary3 regime (dyadic is refused, since
     interference destroys the grouping).
     """
-    validate_spec(spec)
     if spec.regime != LACUNARY3:
         raise RegimeError("spectrum bands are only defined in the lacunary3 regime",
                           "regime")
@@ -723,7 +732,6 @@ def gram_centered_exponentials(spec: RieszSpec, j: int, k: int, depth: int) -> c
     Equals delta_{jk} (1 - |a_j|^2/4): the family is orthogonal with norms
     bounded between two positive constants.
     """
-    validate_spec(spec)
     if spec.regime != LACUNARY3:
         raise RegimeError("the Gram system requires the lacunary3 regime", "regime")
     _check_depth(spec, depth, "depth")

@@ -408,6 +408,14 @@ class Mesh:
         gens = tuple(int(g) for g in generators)
         return cls(gens, (1,) * len(gens))
 
+    @classmethod
+    def padded_unit_box(cls, generators, k: int, elements) -> "Mesh":
+        """The unit box on ``generators`` padded to k generators with scale * 3^i,
+        scale = 4 (sum |g| + max |x| + 1) over the generators g and the elements x:
+        too large to represent any new element.  Callers refuse k > MESH_GENERATOR_CAP."""
+        scale = 4 * (sum(map(abs, generators)) + max(map(abs, elements)) + 1)
+        return cls.unit_box([*generators, *(scale * 3 ** i for i in range(k - len(generators)))])
+
     @property
     def k(self) -> int:
         return len(self.generators)
@@ -515,22 +523,20 @@ def verify_mesh_bound(nu: int, lam: LambdaSet | None = None) -> MeshBoundReport:
     generators and check the intersection count N_nu against (1/4) k log2 k,
     and against (1/2) k log2 k at k = 2^nu.
 
-    Padding generators are fresh huge integers that cannot produce new
+    The padding generators (``Mesh.padded_unit_box``) cannot produce new
     members, so the same intersection is exhibited at every k in the range.
     """
     if not 1 <= nu <= 6:
         raise CapError(f"mesh bound level must lie in [1, 6], got {nu}")
     if lam is None:
         lam = build_lambda(nu)
-    gens = list(lam.base.block(nu))
-    scale = 4 * (sum(abs(g) for g in gens) + max(abs(g) for g in lam.gamma) + 1)
-    pads = [scale * 3 ** i for i in range(2 ** nu)]
+    gens = lam.base.block(nu)
     records = []
     expected = closed_form_column_count(nu)
     half_bound = 0.5 * 2 ** nu * math.log2(2 ** nu)
     half_passed = False
     for k in range(2 ** nu, 2 ** (nu + 1)):
-        mesh = Mesh.unit_box(gens + pads[: k - 2 ** nu])
+        mesh = Mesh.padded_unit_box(gens, k, lam.gamma)
         count = mesh_intersection(lam, mesh).count
         quarter = 0.25 * k * math.log2(k)
         records.append(MeshBoundRecord(k, count, quarter, count >= quarter))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,7 +34,6 @@ from .core import (
     RieszSpec,
     ValidationError,
     randomize_phases,
-    validate_spec,
 )
 
 
@@ -192,7 +192,7 @@ def _build_spec(doc, out: list[Diagnostic]):
     if freqs is None or coeffs is None:
         return None, None
     try:
-        return validate_spec(RieszSpec(freqs, coeffs, regime)), seed
+        return RieszSpec(freqs, coeffs, regime), seed
     except ValidationError as err:
         out.append(Diagnostic(_semantic_path(doc, err), str(err)))
         return None, None
@@ -304,9 +304,11 @@ def render(fmt: str, header, columns, config) -> list[str]:
 
 
 def write_report(out_path, fmt: str, header, columns, config) -> str:
-    """Render the columns, write the pieces to ``out_path`` if given, return the text."""
+    """Render the columns, write the pieces to ``out_path`` or stdout, return the text."""
     pieces = render(fmt, header, columns, config)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.writelines(pieces)
+    else:
+        sys.stdout.writelines(pieces)
     return "".join(pieces)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from rieszprod import (
+    CapError,
     CoefficientSequence,
     FrequencySequence,
     RegimeError,
@@ -260,6 +261,19 @@ def test_smooth_by_vp_trivial_and_gap_failure():
     triadic = geometric_spec(3, 6, r=0.5)
     with pytest.raises(SpectralGapError):
         smooth_by_vp(triadic, 1, 4, 0.0)  # 3^2 = 9 <= 3 * (1 + 3)
+
+
+def test_smooth_by_vp_refuses_phases_reaching_2_52():
+    spec = geometric_spec(4, 4, r=0.5)  # frequencies 1, 4, 16, 64
+    t = 2.0 ** 50
+    # the order-1 product has degree 5, and 5 * 2^50 >= 2^52
+    for read in (lambda: smooth_by_vp(spec, 1, 3, t), lambda: eval_partial_product(spec, 3, t),
+                 lambda: interval_measure(spec, 3, t, 0.1)):
+        with pytest.raises(CapError, match="2\\^52"):
+            read()
+    # the order-0 product has degree 1: its phases at t are exact
+    assert smooth_by_vp(spec, 0, 3, t) == pytest.approx(eval_partial_product(spec, 0, t),
+                                                        abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

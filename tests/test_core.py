@@ -6,6 +6,7 @@ patterns: the expansion of a depth-n partial product is the aggregate of
 at frequency sum eps_j lambda_j.  Everything sparse is checked against it.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -89,10 +90,9 @@ def test_validate_rejects_ratio_below_three_unless_dyadic():
 
 
 def test_validate_rejects_modulus_above_one():
-    spec = RieszSpec(FrequencySequence((1, 4)),
-                     CoefficientSequence((1.2, 0.0), (0.0, 0.0)))
     with pytest.raises(ValidationError) as err:
-        validate_spec(spec)
+        RieszSpec(FrequencySequence((1, 4)),
+                  CoefficientSequence((1.2, 0.0), (0.0, 0.0)))
     assert err.value.condition == "modulus_bound"
     assert err.value.index == 0
 
@@ -106,6 +106,35 @@ def test_validate_dyadic_needs_powers_of_two_and_strict_modulus():
         validate_spec(RieszSpec(FrequencySequence((1, 2, 4)),
                                 CoefficientSequence.constant(1.0, 0.0, 3), "dyadic"))
     assert err.value.condition == "dyadic_modulus"
+
+
+VALID = RieszSpec(FrequencySequence((1, 4, 16)), CoefficientSequence.constant(0.5, 0.0, 3))
+
+
+@pytest.mark.parametrize("changes, condition, index", [
+    ({"coeffs": CoefficientSequence((0.5, 1.2, 0.5), (0.0,) * 3)}, "modulus_bound", 1),
+    ({"freqs": FrequencySequence((1, 4, 11))}, "lacunarity_ratio", 1),
+    ({"regime": "dyadic", "freqs": FrequencySequence((1, 2, 5))}, "dyadic_frequencies", 2),
+    ({"regime": "dyadic", "freqs": FrequencySequence((1, 2, 4)),
+      "coeffs": CoefficientSequence((0.5, 0.5, 1.0), (0.0,) * 3)}, "dyadic_modulus", 2),
+])
+def test_an_invalid_spec_cannot_be_built(changes, condition, index):
+    fields = {"freqs": VALID.freqs, "coeffs": VALID.coeffs, "regime": VALID.regime, **changes}
+    with pytest.raises(ValidationError) as built:
+        RieszSpec(**fields)
+    with pytest.raises(ValidationError) as replaced:
+        dataclasses.replace(VALID, **changes)
+    for err in (built.value, replaced.value):
+        assert (err.condition, err.index) == (condition, index)
+
+
+def test_randomize_phases_of_a_valid_spec_is_valid():
+    dyadic = geometric_spec(2, 6, r=0.9, regime="dyadic")
+    for spec in (VALID, dyadic, geometric_spec(3, 5)):
+        rotated = randomize_phases(spec, 11)
+        assert validate_spec(rotated) is rotated
+        assert rotated.coeffs.moduli == spec.coeffs.moduli
+        assert rotated.regime == spec.regime and rotated.phase_seed == 11
 
 
 def test_frequency_sequence_invariants():
@@ -126,6 +155,14 @@ def test_coefficient_canonicalization():
     assert cs.phases[0] == 0.0  # zero modulus forces zero phase
     assert abs(cs.phases[1] - 0.25) < 1e-12
     assert cs.value(0) == 0j
+
+
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("r", [0.0, 0.5])
+def test_coefficient_sequence_rejects_non_finite_phases(r, phase):
+    with pytest.raises(ValidationError) as err:
+        CoefficientSequence((0.5, r), (0.0, phase))
+    assert (err.value.condition, err.value.index) == ("phase", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +279,18 @@ def test_exact_integer_frequencies_beyond_int64():
         poly.evaluate(0.5)
     # below the limit the same product is stored in int64
     assert expand_partial_product(spec, 1).arrays()[0].dtype == np.int64
+
+
+def test_evaluate_refuses_phases_reaching_2_52():
+    poly = TrigPolynomial({-4: 0.25, 0: 1.0, 4: 0.25})
+    below = math.nextafter(2.0 ** 50, 0.0)  # 4 * below < 2^52, compared exactly
+    assert poly.evaluate(below) == pytest.approx(1.0 + 0.5 * math.cos(4 * below), abs=1e-12)
+    for t in (2.0 ** 50, np.array([0.0, -2.0 ** 50])):
+        with pytest.raises(CapError, match="degree 4 times max \\|t\\| = "
+                           "1125899906842624.0 is >= 2\\^52"):
+            poly.evaluate(t)
+    with pytest.raises(ValidationError, match="points must be finite"):
+        poly.evaluate(math.nan)
 
 
 def test_hermitian_symmetry_exact():
