@@ -50,6 +50,7 @@ RATIO_WINDOW = 5
 
 LOG_CLIP = 1e-30
 MAX_CLIPPED_FRACTION = 1e-3
+SAMPLE_BLOCK = 2 ** 16  # Monte Carlo keys searched per sorted block
 
 
 @dataclass(frozen=True)
@@ -303,17 +304,33 @@ def interval_measure(spec: RieszSpec, depth: int, t: float, s: float) -> float:
     Termwise antiderivative of the sparse expansion:
     s/pi + (1/pi) sum_{m>0} Re(c_m e^{imt}) 2 sin(ms)/m ... folded over +-m.
     """
-    if not 0.0 < s <= math.pi:
-        raise ValidationError(f"s must lie in (0, pi], got {s}", "scale")
-    _require_float_phases(spec, depth, "interval_measure", max(abs(t), s))
-    ms, cs = expand_partial_product(spec, depth).arrays()
-    total = s / math.pi
-    nz = ms != 0
-    m = ms[nz].astype(float)
-    c = cs[nz]
-    if m.size:
-        total += float(np.sum((c * np.exp(1j * m * t)).real * np.sin(m * s) / m)) / math.pi
-    return total
+    return interval_masses(spec, depth, t)(s)
+
+
+def interval_masses(spec: RieszSpec, depth: int, t: float):
+    """The function s -> ``interval_measure(spec, depth, t, s)``, which forms
+    the complex exponential Re(c_m e^{imt}) of the center once, at its first
+    call, and reuses it for every scale.  Each call checks its scale and
+    refuses phases before any work, as ``interval_measure`` does."""
+    centered = None
+
+    def mass(s: float) -> float:
+        nonlocal centered
+        if not 0.0 < s <= math.pi:
+            raise ValidationError(f"s must lie in (0, pi], got {s}", "scale")
+        _require_float_phases(spec, depth, "interval_measure", max(abs(t), s))
+        if centered is None:
+            ms, cs = expand_partial_product(spec, depth).arrays()
+            nz = ms != 0
+            m = ms[nz].astype(float)
+            centered = m, (cs[nz] * np.exp(1j * m * t)).real
+        m, a = centered
+        total = s / math.pi
+        if m.size:
+            total += float(np.sum(a * np.sin(m * s) / m)) / math.pi
+        return total
+
+    return mass
 
 
 def interval_upper_bound(spec: RieszSpec, N: int, J_max: int, t: float,
@@ -371,6 +388,7 @@ def local_holder(spec: RieszSpec, depth: int, t: float,
     admissible: list[float] = []
     ratios: list[float] = []
     excluded: list[tuple[float, str]] = []
+    mass = interval_masses(spec, depth, t)
     for s in scales:
         if s < resolution:
             excluded.append((s, "below resolution of the truncation"))
@@ -378,7 +396,7 @@ def local_holder(spec: RieszSpec, depth: int, t: float,
         if not 0.0 < s < 1.0:
             excluded.append((s, "needs 0 < s < 1 for a meaningful log ratio"))
             continue
-        m = interval_measure(spec, depth, t, s)
+        m = mass(s)
         if m <= 0.0:
             excluded.append((s, "measure vanished numerically"))
             continue
@@ -415,8 +433,9 @@ def dimension_bounds(spec: RieszSpec, n_range, depth: int,
     with L_n as in ``dimension_integral``.
 
     The arguments of every n are checked first; the grid, P_depth and the
-    Monte Carlo samples are then built once and shared by every n, and a
-    second factor chain takes P_n for the distinct n in ascending order
+    Monte Carlo samples are then built once and shared by every n.  The
+    factor chain to P_depth copies out P_n of the largest n on its way, and
+    a second chain takes P_n for the other distinct n in ascending order
     (the smallest n over the clipping cap is the one refused).  These
     are proxies for the limsup/liminf bracket, labelled as such; both ends
     are clamped to [0, 1] with the clamping recorded.
@@ -444,23 +463,35 @@ def dimension_bounds(spec: RieszSpec, n_range, depth: int,
     nodes = 8 * spec.freqs.prefix_sum(depth)
     _check_grid(nodes, f"the quadrature grid at depth {depth}")
     grid = 2.0 * math.pi * np.arange(nodes) / nodes
-    p_depth = _multiply_factors(spec, grid, np.ones_like(grid), range(depth + 1))
+    ns = sorted(set(n_range))
+    p_depth = _multiply_factors(spec, grid, np.ones_like(grid), range(ns[-1] + 1))
+    p_n = p_depth.copy()
+    _multiply_factors(spec, grid, p_depth, range(ns[-1] + 1, depth + 1))
     if method == "monte_carlo":  # P_depth is needed only as the CDF: build it in place
         cdf = np.cumsum(p_depth, out=p_depth)
         cdf /= cdf[-1]
-        idx = np.searchsorted(cdf, np.random.default_rng(seed).random(int(samples)),
-                              side="left")
-    p_n, done, means = np.ones_like(grid), 0, {}
-    for n in sorted(set(n_range)):
-        _multiply_factors(spec, grid, p_n, range(done, n + 1))
-        done = n + 1
-        clipped = int(np.count_nonzero(p_n < LOG_CLIP))
-        if clipped / grid.size >= MAX_CLIPPED_FRACTION:
+        idx = _inverse_cdf(cdf, np.random.default_rng(seed).random(int(samples)))
+    log_p, clipped = np.empty_like(grid), {}
+
+    def log_mean(n):
+        clipped[n] = int(np.count_nonzero(p_n < LOG_CLIP))
+        np.log(np.maximum(p_n, LOG_CLIP, out=log_p), out=log_p)
+        if method == "quadrature":
+            return float(np.mean(np.multiply(log_p, p_depth, out=log_p)))
+        return float(np.mean(log_p[idx]))
+
+    means = {ns[-1]: log_mean(ns[-1])}
+    p_n.fill(1.0)
+    done = 0
+    for n in ns:
+        if n != ns[-1]:
+            _multiply_factors(spec, grid, p_n, range(done, n + 1))
+            done = n + 1
+            means[n] = log_mean(n)
+        if clipped[n] / grid.size >= MAX_CLIPPED_FRACTION:
             raise ValidationError(
-                f"{clipped} of {grid.size} nodes clipped at the log floor; "
+                f"{clipped[n]} of {grid.size} nodes clipped at the log floor; "
                 "quadrature invalid at this depth", "clipping")
-        log_p = np.log(np.clip(p_n, LOG_CLIP, None))
-        means[n] = float(np.mean(log_p * p_depth if method == "quadrature" else log_p[idx]))
     ls = [means[n] / math.log(spec.freqs.values[n]) for n in n_range]
     lower_raw = 1.0 - max(ls)
     upper_raw = 1.0 - min(ls)
@@ -469,6 +500,19 @@ def dimension_bounds(spec: RieszSpec, n_range, depth: int,
     return DimensionReport(n_range, tuple(zip(n_range, ls)), lower, upper, method,
                            clamped=(lower != lower_raw or upper != upper_raw),
                            lower_raw=lower_raw, upper_raw=upper_raw)
+
+
+def _inverse_cdf(cdf: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, keys, side="left")``, one block of
+    ``SAMPLE_BLOCK`` keys at a time, searched in sorted order and scattered
+    back: a left search depends only on its key, so the indices are the
+    same, and sorted keys walk the table in order instead of at random."""
+    idx = np.empty(keys.size, dtype=np.intp)
+    for lo in range(0, keys.size, SAMPLE_BLOCK):
+        block = keys[lo:lo + SAMPLE_BLOCK]
+        order = np.argsort(block)
+        idx[lo:lo + block.size][order] = np.searchsorted(cdf, block[order], side="left")
+    return idx
 
 
 def holder_transfer_check(spec: RieszSpec, beta: float, n_range,

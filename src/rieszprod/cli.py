@@ -245,8 +245,11 @@ def _interval(args) -> Report:
     spec = load_spec(args.spec)
     ts, ss = _comma_floats(args.t), _comma_floats(args.s)
     pairs = [(t, s) for t in ts for s in ss]
-    values = [(analysis.interval_measure(spec, args.depth, t, s),
-               analysis.interval_upper_bound(spec, args.n, args.depth, t, s)) for t, s in pairs]
+    values = []
+    for t in ts:  # one complex exponential per center
+        mass = analysis.interval_masses(spec, args.depth, t)
+        values += [(mass(s), analysis.interval_upper_bound(spec, args.n, args.depth, t, s))
+                   for s in ss]
     return Report(["t", "s", "measure", "bound"], [*zip(*pairs), *zip(*values)])
 
 

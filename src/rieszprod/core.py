@@ -583,9 +583,11 @@ def eval_partial_product(spec: RieszSpec, n: int, t):
 def _multiply_factors(spec: RieszSpec, t: np.ndarray, out: np.ndarray,
                       factors: range) -> np.ndarray:
     """``out`` multiplied in place by the factors j in ``factors`` at the
-    points ``t``, skipping r_j = 0 and refusing phases lambda_j*t >= 2^52."""
+    points ``t``, skipping r_j = 0 and refusing phases lambda_j*t >= 2^52.
+    Each factor is formed in one scratch array, operation by operation."""
     reach = float(np.max(np.abs(t), initial=0.0))
     _phase_limit_reached(0, reach)  # non-finite points are refused even when no factor runs
+    factor = np.empty_like(t)
     for j in factors:
         r, lam = spec.coeffs.moduli[j], spec.freqs.values[j]
         if r == 0.0:
@@ -594,7 +596,12 @@ def _multiply_factors(spec: RieszSpec, t: np.ndarray, out: np.ndarray,
             raise CapError(
                 f"evaluation needs float64 phases lambda_j*t below 2^52; factor {j} has "
                 f"lambda_j = {lam} and max |t| = {reach!r}")
-        out *= 1.0 + r * np.cos(lam * t + spec.coeffs.phases[j])
+        np.multiply(lam, t, out=factor)
+        factor += spec.coeffs.phases[j]
+        np.cos(factor, out=factor)
+        factor *= r
+        factor += 1.0
+        out *= factor
     return out
 
 

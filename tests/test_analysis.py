@@ -28,6 +28,7 @@ from rieszprod import (
     eval_partial_product,
     expand_partial_product,
     holder_transfer_check,
+    interval_masses,
     interval_measure,
     interval_upper_bound,
     local_holder,
@@ -353,9 +354,52 @@ def test_interval_readers_reject_non_finite_points(t):
         interval_upper_bound(spec, 1, 4, t, 0.1)
 
 
+def reference_interval_measure(spec, depth, t, s):
+    """The interval mass with its own complex exponential for every (t, s)."""
+    ms, cs = expand_partial_product(spec, depth).arrays()
+    m = ms[ms != 0].astype(float)
+    terms = (cs[ms != 0] * np.exp(1j * m * t)).real * np.sin(m * s) / m
+    return s / math.pi + float(np.sum(terms)) / math.pi
+
+
+def test_interval_masses_match_per_scale_reference_bit_for_bit():
+    rng = np.random.default_rng(311)
+    spec = random_spec(rng, count=9)
+    scales = [1.0, 0.5, 0.1, 0.02, 1e-3, math.pi]
+    for t in (0.0, 1.3, -4.2, float(rng.uniform(0, TWO_PI))):
+        mass = interval_masses(spec, 8, t)
+        assert [mass(s) for s in scales] == [
+            reference_interval_measure(spec, 8, t, s) for s in scales]
+        assert [interval_measure(spec, 8, t, s) for s in scales] == [
+            reference_interval_measure(spec, 8, t, s) for s in scales]
+        with pytest.raises(ValidationError, match="s must lie"):
+            mass(4.0)
+
+
+def test_interval_masses_refuse_phases_before_any_work(monkeypatch):
+    spec = geometric_spec(4, 8)
+    mass = interval_masses(spec, 7, 2.0 ** 40)  # support bound 21,845: phases beyond 2^52
+    monkeypatch.setattr("rieszprod.analysis.expand_partial_product", None)
+    with pytest.raises(ValidationError, match="s must lie"):
+        mass(4.0)
+    with pytest.raises(CapError, match="interval_measure needs float64 phases"):
+        mass(0.1)
+
+
 # ---------------------------------------------------------------------------
 # local exponents
 # ---------------------------------------------------------------------------
+
+
+def test_local_holder_ratios_match_per_scale_reference_bit_for_bit():
+    rng = np.random.default_rng(313)
+    spec = random_spec(rng, count=9)
+    scales = [0.5, 0.2, 0.05, 0.01, 3e-3, 1e-3]
+    for t in (0.0, 2.5, float(rng.uniform(0, TWO_PI))):
+        sample = local_holder(spec, 8, t, scales)
+        assert sample.scales == tuple(scales)
+        assert sample.ratios == tuple(
+            math.log(reference_interval_measure(spec, 8, t, s)) / math.log(s) for s in scales)
 
 
 def test_local_holder_lebesgue_ratios_approach_one():
@@ -469,9 +513,22 @@ def test_dimension_bounds_match_per_n_reference_bit_for_bit(method):
     moduli = list(spec.coeffs.moduli)
     moduli[3] = 0.0  # a factor 1 between n and depth
     spec = RieszSpec(spec.freqs, CoefficientSequence(tuple(moduli), spec.coeffs.phases))
-    report = dimension_bounds(spec, range(1, 5), 7, method, seed=11, samples=50_000)
-    assert report.l_values == tuple(
-        (n, reference_log_integral(spec, n, 7, method, 11, 50_000)) for n in range(1, 5))
+    # sample counts around the sorted blocks of SAMPLE_BLOCK = 2^16 keys
+    for samples in (50_000, 1, 2 ** 16 - 1, 2 ** 16 + 1, 3 * 2 ** 16 + 7):
+        report = dimension_bounds(spec, range(1, 5), 7, method, seed=11, samples=samples)
+        assert report.l_values == tuple(
+            (n, reference_log_integral(spec, n, 7, method, 11, samples)) for n in range(1, 5))
+        if method == "quadrature":
+            break
+
+
+@pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])
+def test_dimension_integral_matches_per_n_reference_bit_for_bit(method):
+    rng = np.random.default_rng(307)
+    spec = random_spec(rng, count=9)
+    for n in (1, 3, 5):
+        assert dimension_integral(spec, n, 8, method, seed=7, samples=70_000) == (
+            reference_log_integral(spec, n, 8, method, 7, 70_000))
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,19 @@ def test_interval_command_bound_dominates(capsys, spec_path):
         assert bound >= measure - 1e-12
 
 
+def test_interval_command_matches_per_pair_readers(capsys, spec_path):
+    code, out, _ = run_cli(capsys, "interval", "--spec", spec_path, "--depth", "6",
+                           "--t", "0.5,2.0,0.5", "--s", "0.1,0.01,3.0", "--n", "2")
+    assert code == 0
+    spec = rieszprod.load_spec(spec_path)
+    rows = [[float(x) for x in line.split(",")] for line in out.strip().splitlines()[2:]]
+    assert [(t, s) for t, s, _, _ in rows] == [
+        (t, s) for t in (0.5, 2.0, 0.5) for s in (0.1, 0.01, 3.0)]
+    assert [(measure, bound) for _, _, measure, bound in rows] == [
+        (rieszprod.interval_measure(spec, 6, t, s),
+         rieszprod.interval_upper_bound(spec, 2, 6, t, s)) for t, s, _, _ in rows]
+
+
 def test_dim_command_quadrature(capsys, spec_path):
     code, out, err = run_cli(capsys, "dim", "--spec", spec_path,
                              "--n-min", "1", "--n-max", "2", "--depth", "5")

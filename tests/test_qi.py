@@ -540,6 +540,46 @@ def test_sidon_estimate_deterministic():
     assert a == b
 
 
+def unpruned_sidon_search(freqs, trials, seed, m_grid):
+    """The search loop without the peak rejection: every trial move gets a
+    full pass over the grid."""
+    k = len(freqs)
+    t = 2.0 * math.pi * np.arange(m_grid) / m_grid
+    basis = np.exp(1j * np.outer(np.array(freqs, dtype=float), t))
+    rng = np.random.default_rng(seed)
+    best_ratio, best_c = 0.0, np.ones(k, dtype=complex)
+    for _ in range(trials):
+        c = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, k))
+        p = c @ basis
+        gmax = float(np.max(np.abs(p)))
+        for _sweep in range(2):
+            for j in range(k):
+                for d in (math.pi / 4, -math.pi / 4, math.pi / 16, -math.pi / 16):
+                    cj = c[j] * complex(math.cos(d), math.sin(d))
+                    p_try = p + (cj - c[j]) * basis[j]
+                    g_try = float(np.max(np.abs(p_try)))
+                    if g_try < gmax:
+                        gmax, p = g_try, p_try
+                        c = c.copy()
+                        c[j] = cj
+        if k / gmax > best_ratio:
+            best_ratio, best_c = k / gmax, c
+    return best_ratio, tuple(map(complex, best_c))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-40, 40).filter(bool), min_size=1, max_size=6, unique=True),
+       st.integers(1, 4), st.integers(0, 2 ** 31), st.sampled_from([None, 1, 2, 70]))
+@example([5], 3, 1, None)  # a singleton: every node ties
+@example([1, 2, 3], 2, 0, 2)  # a grid below the 64 peaks
+def test_sidon_estimate_matches_unpruned_search(freqs, trials, seed, grid_factor):
+    degree = max(map(abs, freqs))
+    grid = None if grid_factor is None else math.floor(math.pi * degree) + grid_factor
+    estimate = sidon_lower_estimate(freqs, trials=trials, seed=seed, grid_size=grid)
+    assert (estimate.grid_ratio, estimate.coefficients) == unpruned_sidon_search(
+        freqs, trials, seed, estimate.grid_size)
+
+
 def test_sidon_estimate_refusals():
     with pytest.raises(ValidationError):
         sidon_lower_estimate([5], trials=1, seed=0, grid_size=15)  # <= pi n
