@@ -43,17 +43,20 @@ EXIT_CAP = 3
 
 def _comma_ints(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
+        values = [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
+        values = []
+    if not values:
         raise ValidationError(f"expected comma-separated integers, got {text!r}", "arguments")
+    return values
 
 
 def _comma_floats(text: str) -> list[float]:
     try:
         values = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
-        values = [math.nan]
-    if not all(map(math.isfinite, values)):
+        values = []
+    if not values or not all(map(math.isfinite, values)):
         raise ValidationError(f"expected finite numbers, got {text!r}", "arguments")
     return values
 
@@ -219,6 +222,8 @@ def _energy(args) -> Report:
     spec = load_spec(args.spec)
     n_max = args.n_max if args.n_max is not None else spec.last_index
     if args.variant == "direct":
+        if args.cutoff is not None and args.cutoff < 1:
+            raise ValidationError(f"--cutoff must be >= 1, got {args.cutoff}", "arguments")
         poly = expand_partial_product(spec, n_max)
         cutoff = args.cutoff if args.cutoff is not None else poly.degree
         report = analysis.alpha_energy_direct(poly, args.alpha, cutoff)

@@ -264,6 +264,13 @@ class QiMatrix:
         return np.array(self.rows, dtype=np.int64)
 
 
+def _check_level(what: str, nu: int, cap: int) -> None:
+    """A level below 1 is a bad argument; one above ``cap`` is refused."""
+    if not 1 <= nu <= cap:
+        message = f"{what} level must lie in [1, {cap}], got {nu}"
+        raise ValidationError(message, "level", nu) if nu < 1 else CapError(message)
+
+
 def build_qi_matrix(nu: int) -> QiMatrix:
     """Recursive doubling from A_1 = (1 1 1; 1 -1 0):
 
@@ -272,8 +279,7 @@ def build_qi_matrix(nu: int) -> QiMatrix:
     Column counts satisfy N_{nu+1} = 2 N_nu + 2^nu with N_1 = 3, i.e. the
     closed form 2^{nu-1}(2+nu).
     """
-    if not 1 <= nu <= 8:
-        raise CapError(f"matrix level must lie in [1, 8], got {nu}")
+    _check_level("matrix", nu, 8)
     a = np.array([[1, 1, 1], [1, -1, 0]], dtype=np.int64)
     for level in range(2, nu + 1):
         rows = a.shape[0]
@@ -318,8 +324,7 @@ def _index_bound(j: int) -> int:
 
 
 def build_dissociated_base(nu_max: int) -> DissociatedBase:
-    if not 1 <= nu_max <= 8:
-        raise CapError(f"base level must lie in [1, 8], got {nu_max}")
+    _check_level("base", nu_max, 8)
     top = 2 ** (nu_max + 1) - 1
     beta: list[int] = []
     bounds: list[int] = []
@@ -359,8 +364,7 @@ class LambdaSet:
 
 
 def build_lambda(nu_max: int) -> LambdaSet:
-    if not 1 <= nu_max <= 6:
-        raise CapError(f"lambda level must lie in [1, 6], got {nu_max}")
+    _check_level("lambda", nu_max, 6)
     base = build_dissociated_base(nu_max)
     gamma: list[int] = []
     blocks: list[tuple[int, int]] = []
@@ -527,8 +531,7 @@ def verify_mesh_bound(nu: int, lam: LambdaSet | None = None) -> MeshBoundReport:
     The padding generators (``Mesh.padded_unit_box``) cannot produce new
     members, so the same intersection is exhibited at every k in the range.
     """
-    if not 1 <= nu <= 6:
-        raise CapError(f"mesh bound level must lie in [1, 6], got {nu}")
+    _check_level("mesh bound", nu, 6)
     if lam is None:
         lam = build_lambda(nu)
     gens = lam.base.block(nu)
@@ -599,6 +602,8 @@ def sidon_lower_estimate(frequencies: Iterable[int], trials: int = 200,
     pass would then find no lower maximum; only the other moves get the
     full pass, so every decision and the result are those of the full pass.
     """
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}", "trials")
     freqs = tuple(int(v) for v in frequencies)
     if not freqs:
         raise ValidationError("frequency set is empty", "frequencies")

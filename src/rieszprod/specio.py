@@ -265,7 +265,7 @@ def _cell(value) -> str:
     return text
 
 
-CHUNK_ROWS = 1 << 15  # rows formatted per step: a few MB of cells
+CHUNK_ROWS = 1 << 14  # rows per chunk; a step formats a chunk pair: a few MB of cells
 
 
 def _cells(chunk, fmt: str):
@@ -280,13 +280,52 @@ def _cells(chunk, fmt: str):
     return map(_cell if fmt == "csv" else json.dumps, chunk)
 
 
+def _mirror_sign(lower, upper) -> int:
+    """1 when ``lower`` equals ``upper`` reversed bit for bit, -1 when it
+    equals ``-upper`` reversed, else 0.  Only float64 and int64 arrays
+    mirror; -1 needs a finite float64 ``upper`` (no '-nan') or a positive
+    int64 one (no '-0', no -2^63), so that each lower cell is its partner's
+    text with the sign flipped."""
+    if not isinstance(upper, np.ndarray) or upper.dtype not in (np.float64, np.int64):
+        return 0
+    bits, mirror = lower.view(np.int64), upper[::-1]
+    if np.array_equal(bits, mirror.view(np.int64)):
+        return 1
+    flips = np.isfinite(upper).all() if upper.dtype == np.float64 else (upper > 0).all()
+    return -1 if flips and np.array_equal(bits, (-mirror).view(np.int64)) else 0
+
+
+def _pair_cells(lower, upper, fmt: str):
+    """The cells of a lower chunk and of its upper partner; a mirrored column
+    formats only the upper one."""
+    sign = _mirror_sign(lower, upper)
+    if not sign:
+        return _cells(lower, fmt), _cells(upper, fmt)
+    cells = list(_cells(upper, fmt))
+    if sign > 0:
+        return reversed(cells), cells
+    return (c[1:] if c[0] == "-" else "-" + c for c in reversed(cells)), cells
+
+
 def _rows(columns, fmt: str, cell_sep: str, row_sep: str) -> list[str]:
-    """Every row, CHUNK_ROWS rows to a string, each followed by row_sep; no columns, no rows."""
-    pieces = []
-    for lo in range(0, len(columns[0]) if columns else 0, CHUNK_ROWS):
-        rows = zip(*(_cells(col[lo:lo + CHUNK_ROWS], fmt) for col in columns))
-        pieces += (row_sep.join(map(cell_sep.join, rows)), row_sep)
-    return pieces
+    """Every row, at most CHUNK_ROWS rows to a string, each followed by row_sep;
+    no columns, no rows.  The walk goes from both ends toward the middle,
+    pairing lower rows [lo, hi) with upper rows [n - hi, n - lo), so that a
+    Hermitian table (c_{-m} = conj(c_m)) formats each mirrored cell once; the
+    middle row of an odd table stands alone."""
+    n = len(columns[0]) if columns else 0
+    half = n // 2
+    head, tail = [], []  # tail holds (row_sep, text) from the end, so it is read reversed
+    for lo in range(0, half, CHUNK_ROWS):
+        hi = min(lo + CHUNK_ROWS, half)
+        lower, upper = zip(*(_pair_cells(col[lo:hi], col[n - hi:n - lo], fmt)
+                             for col in columns))
+        tail += (row_sep, row_sep.join(map(cell_sep.join, zip(*upper))))
+        head += (row_sep.join(map(cell_sep.join, zip(*lower))), row_sep)
+    if n % 2:
+        head += (cell_sep.join(next(_cells(col[half:half + 1], fmt)) for col in columns),
+                 row_sep)
+    return head + tail[::-1]
 
 
 def render(fmt: str, header, columns, config) -> list[str]:

@@ -408,6 +408,17 @@ REFUSALS = [
     (GOOD_SPEC, ("eval", "--depth", "3", "--grid", "-5"), 2, "--grid must be >= 1, got -5"),
     (GOOD_SPEC, ("witness", "--spec-a", SPEC, "--spec-b", SPEC, "--terms", "-3"), 2,
      "terms must be >= 1, got -3"),
+    (GOOD_SPEC, ("energy", "--alpha", "0.5", "--variant", "direct", "--cutoff", "0"), 2,
+     "--cutoff must be >= 1, got 0"),
+    (GOOD_SPEC, ("energy", "--alpha", "0.5", "--variant", "direct", "--cutoff", "-5"), 2,
+     "--cutoff must be >= 1, got -5"),
+    (GOOD_SPEC, ("mesh", "count", "--lambda", SPEC, "--block", "0"), 2,
+     "base level must lie in [1, 8], got 0"),
+    (GOOD_SPEC, ("mesh", "count", "--lambda", SPEC, "--block", "9"), 3,
+     "base level must lie in [1, 8], got 9"),
+    # lists with no number
+    (GOOD_SPEC, ("eval", "--depth", "3", "--t", ","), 2, "expected finite numbers, got ','"),
+    (GOOD_SPEC, ("interval", "--depth", "3", "--t", "0.5", "--s", " , "), 2, "got ' , '"),
     # non-finite points
     (GOOD_SPEC, ("eval", "--depth", "3", "--t", "0,nan"), 2, "'0,nan'"),
     (GOOD_SPEC, ("interval", "--depth", "3", "--t", "inf", "--s", "0.1"), 2, "'inf'"),
@@ -446,6 +457,29 @@ def test_argument_checks_and_refusals(tmp_path, doc, argv, exit_code, named):
     if SPEC not in argv:
         argv += ("--spec", SPEC)
     code, out, err = run_child(*(path if arg == SPEC else arg for arg in argv))
+    assert code == exit_code and out == ""
+    assert err.startswith("invalid: " if exit_code == 2 else "refused: ")
+    assert named in err
+
+
+# command lines that read no spec file
+SPECLESS_REFUSALS = [
+    (("qi", "build", "--nu", "0"), 2, "matrix level must lie in [1, 8], got 0"),
+    (("qi", "build", "--nu", "9"), 3, "matrix level must lie in [1, 8], got 9"),
+    (("qi", "lambda", "--nu", "-1"), 2, "lambda level must lie in [1, 6], got -1"),
+    (("qi", "lambda", "--nu", "7"), 3, "lambda level must lie in [1, 6], got 7"),
+    (("qi", "check", "--values", ","), 2, "expected comma-separated integers, got ','"),
+    (("sidon", "estimate", "--set", "1,3,9", "--seed", "1", "--trials", "0"), 2,
+     "trials must be >= 1, got 0"),
+    (("sidon", "estimate", "--set", ",", "--seed", "1"), 2,
+     "expected comma-separated integers, got ','"),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, named", SPECLESS_REFUSALS,
+                         ids=[" ".join(argv) for argv, _, _ in SPECLESS_REFUSALS])
+def test_specless_argument_checks_and_refusals(argv, exit_code, named):
+    code, out, err = run_child(*argv)
     assert code == exit_code and out == ""
     assert err.startswith("invalid: " if exit_code == 2 else "refused: ")
     assert named in err

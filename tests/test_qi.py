@@ -587,3 +587,18 @@ def test_sidon_estimate_refusals():
         sidon_lower_estimate(list(range(1, 66)), trials=1, seed=0)
     with pytest.raises(ValidationError):
         sidon_lower_estimate([2, 2], trials=1, seed=0)
+    with pytest.raises(ValidationError, match="trials must be >= 1, got 0"):
+        sidon_lower_estimate([1, 3], trials=0, seed=0)
+
+
+@pytest.mark.parametrize("build, name, cap", [
+    (build_qi_matrix, "matrix", 8), (build_dissociated_base, "base", 8),
+    (build_lambda, "lambda", 6), (verify_mesh_bound, "mesh bound", 6)])
+def test_levels_below_one_are_bad_arguments_and_above_the_cap_refused(build, name, cap):
+    for level in (0, -1):
+        with pytest.raises(ValidationError, match=rf"{name} level must lie in \[1, {cap}\], "
+                                                  rf"got {level}"):
+            build(level)
+    with pytest.raises(CapError, match=rf"{name} level must lie in \[1, {cap}\], "
+                                       rf"got {cap + 1}"):
+        build(cap + 1)

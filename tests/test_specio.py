@@ -10,6 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rieszprod import load_spec, schema_validate, specio
+from rieszprod.core import (
+    CoefficientSequence,
+    FrequencySequence,
+    RieszSpec,
+    expand_partial_product,
+    randomize_phases,
+)
 from rieszprod.specio import (
     CHUNK_ROWS,
     SpecFileError,
@@ -196,16 +203,42 @@ COLUMN_KINDS = {
 }
 
 
+def mirrored(draw, kind: str, n: int) -> np.ndarray:
+    """A float64 or int64 column whose lower half is its upper half reversed,
+    negated for sign -1, around a drawn middle row.  The upper half starts
+    with a special value (NaN, +-inf, +-0, 0, -2^63, ...); one lower row may
+    be overwritten to break the mirror."""
+    values, build = COLUMN_KINDS[kind]
+    special = SPECIAL_FLOATS if kind == "float64" else SPECIAL_INTS
+    pool = [draw(st.sampled_from(special)), *draw(st.lists(values, max_size=4))]
+    upper = build([pool[i % len(pool)] for i in range(n // 2)])
+    lower = (upper if draw(st.sampled_from([1, -1])) > 0 else -upper)[::-1]
+    middle = build([draw(values)] * (n % 2))
+    column = np.concatenate([lower, middle, upper])
+    if n > 1 and draw(st.booleans()):
+        column[draw(st.integers(0, n // 2 - 1))] = draw(values)
+    return column
+
+
+MIRRORED_KINDS = ["mirrored float64", "mirrored int64"]
+
+
 @st.composite
 def tables(draw):
     """(chunk size, header, columns, rows): every column holds n rows cycled
-    from a drawn pool; n is 0, 1, or sits on or beside a chunk boundary."""
+    from a drawn pool, or mirrored around the middle row; n is 0, 1, or sits
+    on or beside a chunk or chunk-pair boundary."""
     chunk = draw(st.sampled_from([1, 3, 8]))
-    n = draw(st.sampled_from([0, 1, 2, chunk - 1, chunk, chunk + 1, 3 * chunk,
-                              3 * chunk + 1]))
-    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=4))
+    n = draw(st.sampled_from([0, 1, 2, chunk - 1, chunk, chunk + 1, 2 * chunk - 1,
+                              2 * chunk, 2 * chunk + 1, 3 * chunk, 3 * chunk + 1,
+                              4 * chunk + 1]))
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS) + MIRRORED_KINDS),
+                          min_size=1, max_size=4))
     columns = []
     for kind in kinds:
+        if kind in MIRRORED_KINDS:
+            columns.append(mirrored(draw, kind.split()[1], n))
+            continue
         values, build = COLUMN_KINDS[kind]
         pool = draw(st.lists(values, min_size=1, max_size=5))
         columns.append(build([pool[i % len(pool)] for i in range(n)]))
@@ -231,7 +264,7 @@ def test_column_renderer_matches_row_renderer(table, config):
 
 
 @pytest.mark.parametrize("fmt, reference", [("csv", row_csv), ("json", row_json)])
-@pytest.mark.parametrize("n", [CHUNK_ROWS, 2 * CHUNK_ROWS + 5])
+@pytest.mark.parametrize("n", [2 * CHUNK_ROWS, 4 * CHUNK_ROWS + 5])  # chunk pairs
 def test_write_report_at_chunk_boundaries(tmp_path, fmt, reference, n):
     rng = np.random.default_rng(n)
     ms = np.arange(n, dtype=np.int64) - n // 2
@@ -243,3 +276,19 @@ def test_write_report_at_chunk_boundaries(tmp_path, fmt, reference, n):
     assert path.read_bytes() == text.encode("utf-8")
     rows = list(zip(ms.tolist(), re.tolist(), im.tolist(), verdict))
     assert text == reference(["m", "re", "im", "v"], rows, {"n": n})
+
+
+@pytest.mark.parametrize("fmt, reference", [("csv", row_csv), ("json", row_json)])
+def test_write_report_of_a_real_expansion(tmp_path, fmt, reference):
+    """A Hermitian table of 3^10 rows, more than one chunk pair at the real
+    CHUNK_ROWS, with an odd middle row."""
+    spec = randomize_phases(RieszSpec(FrequencySequence.geometric(3, 11),
+                                      CoefficientSequence.constant(0.7, 0.0, 11)), 11)
+    ms, cs = expand_partial_product(spec, 9).arrays()
+    assert ms.size == 3 ** 10 > 2 * CHUNK_ROWS
+    path = tmp_path / f"report.{fmt}"
+    text = write_report(path, fmt, ["frequency", "re", "im"], [ms, cs.real, cs.imag],
+                        {"depth": 9})
+    assert path.read_bytes() == text.encode("utf-8")
+    rows = list(zip(ms.tolist(), cs.real.tolist(), cs.imag.tolist()))
+    assert text == reference(["frequency", "re", "im"], rows, {"depth": 9})
