@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .core import (
     _require_float_phases,
     convolve_products,
     expand_partial_product,
+    record,
 )
 
 VERDICT_CONVERGENT = "convergent"
@@ -53,7 +53,7 @@ MAX_CLIPPED_FRACTION = 1e-3
 SAMPLE_BLOCK = 2 ** 16  # Monte Carlo keys searched per sorted block
 
 
-@dataclass(frozen=True)
+@record
 class EnergyReport:
     """Partial sums of an alpha-energy series and the verdict they support.
 
@@ -76,7 +76,7 @@ class EnergyReport:
         return self.partial_sums[-1] if self.partial_sums else 0.0
 
 
-@dataclass(frozen=True)
+@record
 class DimensionReport:
     """Finite-n proxies for the dimension bracket 1 - limsup/liminf L_n."""
 
@@ -90,7 +90,7 @@ class DimensionReport:
     upper_raw: float
 
 
-@dataclass(frozen=True)
+@record
 class HolderSample:
     """log mu([t-s,t+s]) / log s over a ladder of admissible scales."""
 

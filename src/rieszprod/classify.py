@@ -25,7 +25,6 @@ sum |c_j|^2 stays finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .core import (
     RegimeError,
     RieszSpec,
     ValidationError,
+    record,
 )
 
 TAIL_DIVERGENT = "divergent"
@@ -53,7 +53,7 @@ CRITERION_EQUAL_MODULI = "equal_moduli_l2_gap_convergent"
 CRITERION_DISC_METRIC = "disc_metric_gap_convergent"
 
 
-@dataclass(frozen=True)
+@record
 class SeriesEvidence:
     """Partial sums of a nonnegative series plus the declared tail behavior."""
 
@@ -84,7 +84,7 @@ class SeriesEvidence:
         return (self.partial_sums[-1] - self.partial_sums[k]) / span
 
 
-@dataclass(frozen=True)
+@record
 class TailDeclarations:
     """Caller-supplied tail behavior for the rule-generated series."""
 
@@ -103,7 +103,7 @@ class TailDeclarations:
                     "tail")
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     outcome: str
     criterion: str | None
@@ -115,7 +115,7 @@ class Verdict:
                 "outcome is unknown exactly when no criterion fired", "verdict")
 
 
-@dataclass(frozen=True)
+@record
 class DivergenceWitness:
     """The explicit sequence driving the singularity proof."""
 

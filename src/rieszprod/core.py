@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -91,7 +91,65 @@ class CapError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+class _Record:
+    """The methods ``record`` gives a class: shared functions, no generated code."""
+
+    def __init__(self, *args, **kwargs):
+        cls, names = type(self), self._fields
+        if len(args) > len(names) or not kwargs.keys() <= set(names[len(args):]):
+            raise TypeError(f"{cls.__name__}() takes the fields {names}, got {len(args)} "
+                            f"positional and the keywords {sorted(kwargs)}")
+        values = {**cls._defaults, **dict(zip(names, args)), **kwargs}
+        if len(values) < len(names):
+            missing = [name for name in names if name not in values]
+            raise TypeError(f"{cls.__name__}() is missing the fields {missing}")
+        self.__dict__.update(values)
+        if hasattr(cls, "__post_init__"):
+            self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _field_values(self) == _field_values(other)
+
+    def __hash__(self):
+        return hash(_field_values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self._fields, _field_values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+
+def _field_values(obj) -> tuple:
+    return tuple(getattr(obj, name) for name in obj._fields)
+
+
+def record(cls):
+    """Make ``cls`` an immutable value over its annotated fields, in order, as
+    ``@dataclass(frozen=True)`` would: fields are given by position or keyword,
+    class attributes are their defaults, ``__post_init__`` runs last (it may set
+    fields through ``object.__setattr__``), equality and hashing go by the fields
+    within one class.  The methods are shared, so no class costs code generation."""
+    cls._fields = tuple(cls.__annotations__)
+    cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+    for name in ("__init__", "__setattr__", "__delattr__", "__eq__", "__hash__", "__repr__"):
+        setattr(cls, name, vars(_Record)[name])
+    return cls
+
+
+def replace(obj, **changes):
+    """A copy of the record ``obj`` with ``changes``; its ``__post_init__`` runs again."""
+    return type(obj)(**{**dict(zip(obj._fields, _field_values(obj))), **changes})
+
+
+@record
 class FrequencySequence:
     """Strictly increasing positive integer frequencies lambda_0 < ... < lambda_J."""
 
@@ -192,7 +250,7 @@ def _canonical_phase(r: float, theta: float) -> float:
     return theta
 
 
-@dataclass(frozen=True)
+@record
 class CoefficientSequence:
     """Complex coefficients a_j stored as moduli r_j >= 0 and phases in [0, 2pi).
 
@@ -248,10 +306,10 @@ class CoefficientSequence:
         return max(self.moduli) if self.moduli else 0.0
 
 
-@dataclass(frozen=True)
+@record
 class RieszSpec:
     """Frequencies plus coefficients plus the regime they are meant for, valid by
-    construction: building one (also by ``dataclasses.replace``) runs ``validate_spec``."""
+    construction: building one (also by ``replace``) runs ``validate_spec``."""
 
     freqs: FrequencySequence
     coeffs: CoefficientSequence
@@ -314,7 +372,7 @@ def validate_spec(spec: RieszSpec) -> RieszSpec:
     return spec
 
 
-@dataclass(frozen=True)
+@record
 class SignPattern:
     """Finite map j -> eps_j in {-1,+1} (zeros omitted)."""
 
@@ -441,7 +499,7 @@ class TrigPolynomial:
         return out
 
 
-@dataclass(frozen=True)
+@record
 class SpectralBand:
     """Positive frequencies of the expansion whose top participating index is n."""
 
@@ -451,7 +509,7 @@ class SpectralBand:
     freqs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class FourierCoefficient:
     value: complex
     stable: bool

@@ -43,12 +43,11 @@ matches are verified with exact integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import CapError, SignPattern, ValidationError
+from .core import CapError, SignPattern, ValidationError, record
 
 BRUTE_FORCE_CAP = 16
 MITM_CAP = 32
@@ -64,7 +63,7 @@ _SIDON_PEAKS = 64  # largest |p| nodes a trial move is checked on first
 RESIDUE_PRIME = 2 ** 57 - 13
 
 
-@dataclass(frozen=True)
+@record
 class IntVectorSet:
     """Finite list of distinct nonzero integer vectors of a common dimension."""
 
@@ -104,7 +103,7 @@ class IntVectorSet:
         return max((abs(x) for v in self.elements for x in v), default=0)
 
 
-@dataclass(frozen=True)
+@record
 class QiCheckResult:
     quasi_independent: bool
     witness: SignPattern | None
@@ -235,7 +234,7 @@ def closed_form_column_count(nu: int) -> int:
     return 2 ** (nu - 1) * (2 + nu)
 
 
-@dataclass(frozen=True)
+@record
 class QiMatrix:
     """Level-nu matrix with 2^nu rows, N_nu quasi-independent columns in {-1,0,1}."""
 
@@ -289,7 +288,7 @@ def build_qi_matrix(nu: int) -> QiMatrix:
     return QiMatrix(nu, tuple(tuple(int(x) for x in row) for row in a))
 
 
-@dataclass(frozen=True)
+@record
 class DissociatedBase:
     """Greedy base beta_j = 1 + 2 sum_{i<j} B_i beta_i (1-indexed j).
 
@@ -338,7 +337,7 @@ def build_dissociated_base(nu_max: int) -> DissociatedBase:
     return DissociatedBase(tuple(beta), tuple(bounds), nu_max)
 
 
-@dataclass(frozen=True)
+@record
 class LambdaSet:
     """Block-major contraction of the level matrices onto the integers.
 
@@ -385,7 +384,7 @@ def build_lambda(nu_max: int) -> LambdaSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Mesh:
     """Integer combinations sum n_j gamma_j with |n_j| <= bounds_j."""
 
@@ -438,7 +437,7 @@ class Mesh:
         return True
 
 
-@dataclass(frozen=True)
+@record
 class MeshIntersection:
     count: int
     members: tuple[int, ...]
@@ -502,7 +501,7 @@ def mesh_intersection(elements, mesh: Mesh) -> MeshIntersection:
     return MeshIntersection(len(members), members)
 
 
-@dataclass(frozen=True)
+@record
 class MeshBoundRecord:
     k: int
     count: int
@@ -510,7 +509,7 @@ class MeshBoundRecord:
     passed: bool
 
 
-@dataclass(frozen=True)
+@record
 class MeshBoundReport:
     nu: int
     expected_count: int
@@ -567,7 +566,7 @@ def sidon_union_bound(k: int) -> float:
     return 3.0 * math.sqrt(3.0) * k * math.sqrt(2.0 * k - 1.0)
 
 
-@dataclass(frozen=True)
+@record
 class SidonEstimate:
     """Certified lower bound for the Sidon constant of a finite set.
 

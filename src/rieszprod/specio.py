@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +33,11 @@ from .core import (
     RieszSpec,
     ValidationError,
     randomize_phases,
+    record,
 )
 
 
-@dataclass(frozen=True)
+@record
 class Diagnostic:
     path: str
     message: str
@@ -348,6 +348,9 @@ def write_report(out_path, fmt: str, header, columns, config) -> str:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.writelines(pieces)
+    elif sys.stdout is None:
+        raise OSError("stdout is closed")
     else:
         sys.stdout.writelines(pieces)
+        sys.stdout.flush()  # a full or broken stdout fails here, inside main
     return "".join(pieces)

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, determinism, report structure."""
 
 import argparse
+import io
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rieszprod
+from rieszprod import cli
 from rieszprod.cli import COMMANDS, build_parser, main
 from rieszprod.core import GRID_BUDGET
 from rieszprod.qi import MESH_GENERATOR_CAP
@@ -37,14 +39,22 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_child(*argv):
-    """The CLI in a child interpreter, where an uncaught exception ends in a
-    traceback on stderr."""
+def child_env(**changes) -> dict:
+    """This environment with the package importable, updated by ``changes``
+    (None drops a variable)."""
     src = str(Path(rieszprod.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.update(changes)
+    return {key: value for key, value in env.items() if value is not None}
+
+
+def run_child(*argv, env=None, **popen):
+    """The CLI in a child interpreter, where an uncaught exception ends in a
+    traceback on stderr.  ``popen`` may replace the captured stdout."""
     proc = subprocess.run([sys.executable, "-m", "rieszprod.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          **{"stdout": subprocess.PIPE, **popen}, stderr=subprocess.PIPE,
+                          text=True, env=env or child_env())
     assert "Traceback" not in proc.stderr
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -387,6 +397,64 @@ def test_expansion_depth_cap(capsys, tmp_path):
     assert code == 3 and out == ""
     assert err.startswith("refused: ")
     assert "n_max=14" in err and "depth-13" in err and "cap is n_max=13" in err
+
+
+def test_a_child_reports_what_main_reports(capsys, spec_path, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"frequencies": {"rule": "explicit", "values": [1, 4]},
+                               "coefficients": {"explicit": [{"r": 1.5}]}}), encoding="utf-8")
+    for argv, exit_code in [(("coeffs", "--spec", spec_path, "--depth", "3"), 0),
+                            (("validate", "--spec", str(bad)), 2),
+                            (("coeffs", "--spec", spec_path, "--depth", "99"), 2),
+                            (("coeffs", "--spec", spec_path, "--depth", "3", "--format", "json",
+                              "--out", str(tmp_path)), 2),
+                            (("qi", "build", "--nu", "9"), 3)]:
+        reported = run_cli(capsys, *argv)
+        assert reported[0] == exit_code
+        assert run_child(*argv) == reported
+
+
+def test_child_leaves_without_interpreter_teardown(spec_path):
+    script = ("import atexit, sys; atexit.register(print, 'teardown', file=sys.stderr); "
+              "from rieszprod.cli import console_main; "
+              f"sys.argv = ['riesz', 'validate', '--spec', {spec_path!r}]; console_main()")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines()[1] == "path,message"
+
+
+class FullStream(io.StringIO):
+    def flush(self):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("code, expected", [(0, 2), (3, 3)])
+def test_a_failed_final_flush_is_exit_2_unless_main_failed(monkeypatch, capsys, code, expected):
+    exits = []
+    monkeypatch.setattr(cli, "main", lambda: code)
+    monkeypatch.setattr(cli.os, "_exit", exits.append)
+    monkeypatch.setattr(sys, "stdout", FullStream())
+    cli.console_main()
+    err = capsys.readouterr().err
+    assert exits == [expected]
+    assert err == ("invalid: [Errno 28] No space left on device\n" if code == 0 else "")
+
+
+def test_closed_stdout_is_a_diagnostic(spec_path):
+    code, _, err = run_child("validate", "--spec", spec_path, stdout=None,
+                             preexec_fn=lambda: os.close(1))
+    assert (code, err) == (2, "invalid: stdout is closed\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_full_stdout_is_a_diagnostic(spec_path, unbuffered):
+    with open("/dev/full", "w") as full:
+        code, _, err = run_child("validate", "--spec", spec_path, stdout=full,
+                                 env=child_env(PYTHONUNBUFFERED=unbuffered))
+    assert code == 2
+    assert err.startswith("invalid: [Errno 28]") and err.count("\n") == 1
 
 
 MONTE_CARLO = ("dim", "--n-min", "1", "--n-max", "1", "--depth", "6",

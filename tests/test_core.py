@@ -34,7 +34,8 @@ from rieszprod import (
     spectrum_bands,
     validate_spec,
 )
-from rieszprod.core import _representation
+from rieszprod import analysis, classify, cli, core, qi, specio
+from rieszprod.core import _representation, record, replace
 
 TWO_PI = 2 * math.pi
 
@@ -123,7 +124,7 @@ def test_an_invalid_spec_cannot_be_built(changes, condition, index):
     with pytest.raises(ValidationError) as built:
         RieszSpec(**fields)
     with pytest.raises(ValidationError) as replaced:
-        dataclasses.replace(VALID, **changes)
+        replace(VALID, **changes)
     for err in (built.value, replaced.value):
         assert (err.condition, err.index) == (condition, index)
 
@@ -556,3 +557,97 @@ def test_sign_pattern_rejects_bad_signs():
         SignPattern(((0, 2),))
     with pytest.raises(ValidationError):
         SignPattern(((0, 1), (0, -1)))
+
+
+# one instance of every record class, built afresh on each call
+RECORD_EXAMPLES = {
+    core.FrequencySequence: lambda: core.FrequencySequence((1, 4)),
+    core.CoefficientSequence: lambda: core.CoefficientSequence((0.5,), (1.0,)),
+    core.RieszSpec: lambda: RieszSpec(VALID.freqs, VALID.coeffs),
+    core.SignPattern: lambda: SignPattern(((0, 1), (2, -1))),
+    core.SpectralBand: lambda: SpectralBand(1, 3, 5, (3, 5)),
+    core.FourierCoefficient: lambda: core.FourierCoefficient(0.25j, True),
+    analysis.EnergyReport: lambda: analysis.EnergyReport(0.5, "direct", (1.0,), (1.0,), (1,),
+                                                         "undecided"),
+    analysis.DimensionReport: lambda: analysis.DimensionReport(
+        (1,), ((1, 0.5),), 0.25, 0.75, "quadrature", False, 0.25, 0.75),
+    analysis.HolderSample: lambda: analysis.HolderSample(0.5, (0.1,), (1.0,), 1.0, ()),
+    classify.SeriesEvidence: lambda: classify.SeriesEvidence("gap", (0.0, 1.0)),
+    classify.TailDeclarations: lambda: classify.TailDeclarations(lacunarity="divergent"),
+    classify.Verdict: lambda: classify.Verdict(classify.OUTCOME_UNKNOWN, None),
+    classify.DivergenceWitness: lambda: classify.DivergenceWitness((1j,), (1.0,), (1.0,)),
+    qi.IntVectorSet: lambda: qi.IntVectorSet.from_integers([1, 3]),
+    qi.QiCheckResult: lambda: qi.QiCheckResult(False, SignPattern(((0, 1),))),
+    qi.QiMatrix: lambda: qi.build_qi_matrix(1),
+    qi.DissociatedBase: lambda: qi.build_dissociated_base(1),
+    qi.LambdaSet: lambda: qi.build_lambda(1),
+    qi.Mesh: lambda: qi.Mesh.unit_box([1, 3]),
+    qi.MeshIntersection: lambda: qi.MeshIntersection(1, (3,)),
+    qi.MeshBoundRecord: lambda: qi.MeshBoundRecord(2, 3, 0.5, True),
+    qi.MeshBoundReport: lambda: qi.MeshBoundReport(1, 3, (), 1.0, True),
+    qi.SidonEstimate: lambda: qi.SidonEstimate(1.0, 1.0, (1 + 0j,), (1,), 8, 1, 1.0, 1, 0),
+    specio.Diagnostic: lambda: specio.Diagnostic("spec.regime", "unknown regime"),
+}
+
+MODULES = (core, analysis, classify, qi, specio, cli)
+
+
+def package_classes():
+    return [value for module in MODULES for value in vars(module).values()
+            if isinstance(value, type) and value.__module__ == module.__name__]
+
+
+def test_every_record_class_has_an_example_and_no_dataclass_remains():
+    records = {cls for cls in package_classes()
+               if cls is not core._Record and vars(cls).get("__eq__") is core._Record.__eq__}
+    assert records == set(RECORD_EXAMPLES) and len(records) == 24
+    assert not [cls for cls in package_classes() if hasattr(cls, "__dataclass_fields__")]
+
+
+@pytest.mark.parametrize("cls", RECORD_EXAMPLES, ids=lambda cls: cls.__name__)
+def test_records_are_frozen_values_of_their_class(cls):
+    first, second = RECORD_EXAMPLES[cls](), RECORD_EXAMPLES[cls]()
+    assert type(first) is cls and first is not second
+    assert first == second and hash(first) == hash(second)
+    assert replace(first) == first
+    for name in cls._fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(first, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(first, name)
+    assert first == second
+    others = [make() for other, make in RECORD_EXAMPLES.items() if other is not cls]
+    assert all(first != other for other in others)
+
+
+def test_records_of_different_classes_with_equal_fields_differ():
+    @record
+    class Twin:
+        path: str
+        message: str
+
+    diagnostic = specio.Diagnostic("spec.regime", "unknown regime")
+    twin = Twin("spec.regime", "unknown regime")
+    assert twin != diagnostic and diagnostic != twin
+    assert twin == Twin(path="spec.regime", message="unknown regime")
+    assert repr(diagnostic) == "Diagnostic(path='spec.regime', message='unknown regime')"
+
+
+def test_record_arguments_and_defaults():
+    assert classify.Verdict(classify.OUTCOME_UNKNOWN, None).evidence == ()
+    spec = RieszSpec(coeffs=VALID.coeffs, freqs=VALID.freqs, phase_seed=3)
+    assert (spec.regime, spec.phase_seed, spec.phase_generator) == ("lacunary3", 3, None)
+    assert repr(core.FourierCoefficient(0.5, False)) == "FourierCoefficient(value=0.5, stable=False)"
+    for args, kwargs in [((VALID.freqs,), {}), ((VALID.freqs, VALID.coeffs), {"freqs": VALID.freqs}),
+                         ((VALID.freqs, VALID.coeffs), {"depth": 3}),
+                         ((VALID.freqs, VALID.coeffs, "lacunary3", None, None, 0), {})]:
+        with pytest.raises(TypeError):
+            RieszSpec(*args, **kwargs)
+    with pytest.raises(TypeError):
+        replace(VALID, depth=3)
+
+
+def test_replace_reruns_normalization():
+    coeffs = core.CoefficientSequence((0.5, 0.5), (1.0, 2.0))
+    assert replace(coeffs, phases=(-1.0, 0)).phases == (TWO_PI - 1.0, 0.0)
+    assert replace(coeffs, moduli=(0.0, 0.5)).phases == (0.0, 2.0)
