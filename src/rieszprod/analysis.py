@@ -36,6 +36,7 @@ from .core import (
     _levels,
     _multiply_factors,
     _require_float_phases,
+    _split,
     convolve_products,
     expand_partial_product,
     record,
@@ -464,21 +465,37 @@ def dimension_bounds(spec: RieszSpec, n_range, depth: int,
     _check_grid(nodes, f"the quadrature grid at depth {depth}")
     grid = 2.0 * math.pi * np.arange(nodes) / nodes
     ns = sorted(set(n_range))
-    p_depth = _multiply_factors(spec, grid, np.ones_like(grid), range(ns[-1] + 1))
+    monte_carlo = method == "monte_carlo"
+    # Monte Carlo: P_depth becomes the CDF in place, then holds log P_n at
+    # every sample, so its buffer has room for both
+    buffer = np.ones(max(nodes, samples) if monte_carlo else nodes)
+    p_depth = _multiply_factors(spec, grid, buffer[:nodes], range(ns[-1] + 1))
     p_n = p_depth.copy()
     _multiply_factors(spec, grid, p_depth, range(ns[-1] + 1, depth + 1))
-    if method == "monte_carlo":  # P_depth is needed only as the CDF: build it in place
+    if monte_carlo:
         cdf = np.cumsum(p_depth, out=p_depth)
         cdf /= cdf[-1]
         idx = _inverse_cdf(cdf, np.random.default_rng(seed).random(int(samples)))
-    log_p, clipped = np.empty_like(grid), {}
+        log_p = buffer[:samples]
+    else:
+        log_p = np.empty_like(grid)
+    clipped = {}
 
-    def log_mean(n):
-        clipped[n] = int(np.count_nonzero(p_n < LOG_CLIP))
+    def weighted_log(p_n, log_p, p_depth):  # quadrature: log P_n times P_depth, nodewise
         np.log(np.maximum(p_n, LOG_CLIP, out=log_p), out=log_p)
-        if method == "quadrature":
-            return float(np.mean(np.multiply(log_p, p_depth, out=log_p)))
-        return float(np.mean(log_p[idx]))
+        log_p *= p_depth
+
+    def sampled_log(idx, log_p):  # Monte Carlo: log P_n at the sampled nodes
+        np.take(p_n, idx, out=log_p, mode="clip")  # "raise" would buffer the output
+        np.log(np.maximum(log_p, LOG_CLIP, out=log_p), out=log_p)
+
+    def log_mean(n):  # the parts fill log_p; the mean sums it whole, in one order
+        clipped[n] = int(np.count_nonzero(p_n < LOG_CLIP))
+        if monte_carlo:
+            _split(sampled_log, idx, log_p)
+        else:
+            _split(weighted_log, p_n, log_p, p_depth)
+        return float(np.mean(log_p))
 
     means = {ns[-1]: log_mean(ns[-1])}
     p_n.fill(1.0)
@@ -503,15 +520,22 @@ def dimension_bounds(spec: RieszSpec, n_range, depth: int,
 
 
 def _inverse_cdf(cdf: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cdf, keys, side="left")``, one block of
-    ``SAMPLE_BLOCK`` keys at a time, searched in sorted order and scattered
-    back: a left search depends only on its key, so the indices are the
-    same, and sorted keys walk the table in order instead of at random."""
-    idx = np.empty(keys.size, dtype=np.intp)
-    for lo in range(0, keys.size, SAMPLE_BLOCK):
-        block = keys[lo:lo + SAMPLE_BLOCK]
-        order = np.argsort(block)
-        idx[lo:lo + block.size][order] = np.searchsorted(cdf, block[order], side="left")
+    """``np.searchsorted(cdf, keys, side="left")`` as int64, written over the
+    float64 ``keys`` (one array of samples instead of two).  Each ``_split``
+    part takes its keys one block of ``SAMPLE_BLOCK`` at a time, searches
+    them in sorted order and scatters the indices back over the block: a
+    left search depends only on its key, so the indices are the same, and
+    sorted keys walk the table in order instead of at random."""
+    idx = keys.view(np.int64)
+
+    def search(keys, idx):
+        for lo in range(0, keys.size, SAMPLE_BLOCK):
+            block = keys[lo:lo + SAMPLE_BLOCK]
+            order = np.argsort(block)
+            found = np.searchsorted(cdf, block[order], side="left")
+            idx[lo:lo + block.size][order] = found  # the block is read by now
+
+    _split(search, keys, idx)
     return idx
 
 

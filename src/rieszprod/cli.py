@@ -3,8 +3,8 @@
 One module operation per invocation.  Exit codes partition the outcomes:
 0 success, 2 validation error (bad file, bad argument, unknown command),
 3 cap or resource refusal.  Identical config and seed produce byte-identical
-reports; --threads is a parallelism hint only and never changes results.
-``COMMANDS`` holds one handler per (command, mode).
+reports, whatever the CPUs the process may use; --threads is accepted for old
+command lines and ignored.  ``COMMANDS`` holds one handler per (command, mode).
 """
 
 from __future__ import annotations
@@ -15,7 +15,18 @@ import os
 import sys
 from typing import NamedTuple
 
-import numpy as np
+# BLAS gets one thread unless the caller set OPENBLAS_NUM_THREADS: no command
+# makes a BLAS call worth a second one, and OpenBLAS's helper would spin on a
+# CPU the array kernels use (core._split).  numpy reads the variable when it
+# loads; the environment is then put back as it was.
+if "OPENBLAS_NUM_THREADS" in os.environ or "numpy" in sys.modules:
+    import numpy as np
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as np
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import analysis, classify, qi
 from .core import (
@@ -76,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="seed for stochastic commands (mandatory there)")
     common.add_argument("--threads", type=int, default=1,
-                        help="parallelism hint; never changes results")
+                        help="accepted for old command lines and ignored")
     spec, depth = _parent("--spec"), _parent("--depth", type=int)
     pair = _parent("--spec-a", "--spec-b")
 
@@ -241,7 +252,7 @@ def _dim(args) -> Report:
     report = analysis.dimension_bounds(
         spec, range(args.n_min, args.n_max + 1), args.depth, method=args.method,
         seed=_require_seed(args) if monte_carlo else 0, samples=args.samples)
-    print(f"dimension bracket: [{report.lower!r}, {report.upper!r}]", file=sys.stderr)
+    _to_stderr(f"dimension bracket: [{report.lower!r}, {report.upper!r}]")
     return Report(["n", "L_n"], list(zip(*report.l_values)),
                   {"lower": report.lower, "upper": report.upper,
                    "generator": "numpy-pcg64" if monte_carlo else None})
@@ -385,35 +396,44 @@ def run(args) -> int:
     return report.exit
 
 
+def _to_stderr(line: str) -> None:
+    """``line`` on stderr, flushed; a closed, missing or full stderr loses it,
+    so that the exit code alone tells the outcome."""
+    try:
+        if sys.stderr is not None:  # None when the process started without fd 2
+            print(line, file=sys.stderr, flush=True)
+    except (OSError, ValueError):  # ValueError: the stream object was closed
+        pass
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run(args)
     except CapError as err:
-        print(f"refused: {err}", file=sys.stderr)
+        _to_stderr(f"refused: {err}")
         return EXIT_CAP
     except SpecFileError as err:
         for d in err.diagnostics:
-            print(f"invalid: {d}", file=sys.stderr)
+            _to_stderr(f"invalid: {d}")
         return EXIT_VALIDATION
     except (ValidationError, OSError) as err:
-        print(f"invalid: {err}", file=sys.stderr)
+        _to_stderr(f"invalid: {err}")
         return EXIT_VALIDATION
 
 
 def console_main() -> None:
-    """``main`` as a process of its own: flush stdout and stderr, then leave by
+    """``main`` as a process of its own: flush stdout, then leave by
     ``os._exit``, which skips the interpreter's teardown (module finalization,
     about 35 ms).  Argparse's ``SystemExit`` and uncaught exceptions take the
     normal exit."""
     code = main()
     try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except OSError as err:
         if code == EXIT_OK:  # any other code has printed its diagnostic
-            print(f"invalid: {err}", file=sys.stderr)
+            _to_stderr(f"invalid: {err}")
             code = EXIT_VALIDATION
     os._exit(code)
 

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import sys
+import threading
 from dataclasses import FrozenInstanceError
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -55,6 +57,10 @@ PHASE_LIMIT = 2 ** 52
 GRID_BUDGET = 2 ** 21
 
 TWO_PI = 2.0 * math.pi
+
+# an elementwise kernel runs in parts (``_split``) only where each part gets at
+# least this many elements; below it a thread costs more than its part saves
+SPLIT_MIN = 1 << 15
 
 
 class ValidationError(ValueError):
@@ -638,14 +644,62 @@ def eval_partial_product(spec: RieszSpec, n: int, t):
     return out
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask (``taskset``)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _split(kernel, *arrays) -> None:
+    """``kernel`` on contiguous parts of ``arrays`` (all of one length), one
+    part per CPU of ``_cpus`` while each part holds at least SPLIT_MIN
+    elements, the first part here and each other one in a thread of its own
+    (numpy's elementwise loops release the GIL).  The kernel must be
+    elementwise and allocate nothing large: each value then depends on its
+    position only, never on the parts.  An exception in a part is re-raised
+    here once every part has ended."""
+    size = len(arrays[0])
+    parts = max(1, min(_cpus(), size // SPLIT_MIN))
+    if parts == 1:
+        kernel(*arrays)
+        return
+    bounds = [size * i // parts for i in range(parts + 1)]
+    errors = [None] * parts
+
+    def run(i):
+        try:
+            kernel(*(a[bounds[i]:bounds[i + 1]] for a in arrays))
+        except BaseException as err:
+            errors[i] = err
+
+    started = []
+    for i in range(1, parts):
+        thread = threading.Thread(target=run, args=(i,))
+        try:
+            thread.start()
+        except RuntimeError:  # no thread to be had: its part runs here
+            run(i)
+        else:
+            started.append(thread)
+    run(0)
+    for thread in started:
+        thread.join()
+    for err in errors:
+        if err is not None:
+            raise err
+
+
 def _multiply_factors(spec: RieszSpec, t: np.ndarray, out: np.ndarray,
                       factors: range) -> np.ndarray:
     """``out`` multiplied in place by the factors j in ``factors`` at the
-    points ``t``, skipping r_j = 0 and refusing phases lambda_j*t >= 2^52.
-    Each factor is formed in one scratch array, operation by operation."""
+    points ``t``, skipping r_j = 0; phases lambda_j*t >= 2^52 are refused
+    before any factor runs.  Each ``_split`` part of the points forms its
+    factors in its part of one scratch array, operation by operation."""
     reach = float(np.max(np.abs(t), initial=0.0))
     _phase_limit_reached(0, reach)  # non-finite points are refused even when no factor runs
-    factor = np.empty_like(t)
+    active = []
     for j in factors:
         r, lam = spec.coeffs.moduli[j], spec.freqs.values[j]
         if r == 0.0:
@@ -654,12 +708,19 @@ def _multiply_factors(spec: RieszSpec, t: np.ndarray, out: np.ndarray,
             raise CapError(
                 f"evaluation needs float64 phases lambda_j*t below 2^52; factor {j} has "
                 f"lambda_j = {lam} and max |t| = {reach!r}")
-        np.multiply(lam, t, out=factor)
-        factor += spec.coeffs.phases[j]
-        np.cos(factor, out=factor)
-        factor *= r
-        factor += 1.0
-        out *= factor
+        active.append((lam, spec.coeffs.phases[j], r))
+
+    def kernel(t, out, factor):
+        for lam, phase, r in active:
+            np.multiply(lam, t, out=factor)
+            factor += phase
+            np.cos(factor, out=factor)
+            factor *= r
+            factor += 1.0
+            out *= factor
+
+    if active:
+        _split(kernel, t, out, np.empty_like(t))
     return out
 
 

@@ -268,9 +268,27 @@ def _cell(value) -> str:
 CHUNK_ROWS = 1 << 14  # rows per chunk; a step formats a chunk pair: a few MB of cells
 
 
+def _constant(chunk) -> bool:
+    """Whether every cell of the chunk has the text of its first: float64
+    cells equal bit for bit (0.0 and -0.0 differ), or list or tuple items that
+    are one object (1, 1.0 and True are three)."""
+    if isinstance(chunk, np.ndarray):
+        if chunk.dtype != np.float64:
+            return False
+        bits = chunk.view(np.int64)
+        return bool(bits[0] == bits[-1] and (bits == bits[0]).all())
+    if isinstance(chunk, (list, tuple)):
+        return all(cell is chunk[0] for cell in chunk)
+    return False
+
+
 def _cells(chunk, fmt: str):
     """One chunk of a column as text: repr for float64 arrays, str for int64
-    and object (exact integer) arrays, else ``_cell`` or the JSON encoder."""
+    and object (exact integer) arrays, else ``_cell`` or the JSON encoder.
+    A constant chunk (float64 cells equal bit for bit, or a list or tuple of
+    one object) formats its first cell once."""
+    if len(chunk) > 1 and _constant(chunk):
+        return list(_cells(chunk[:1], fmt)) * len(chunk)
     if isinstance(chunk, np.ndarray):
         if chunk.dtype.kind == "f" and (fmt == "csv" or np.isfinite(chunk).all()):
             return map(repr, chunk.tolist())

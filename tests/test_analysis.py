@@ -36,6 +36,7 @@ from rieszprod import (
     smooth_by_vp,
     vallee_poussin_kernel,
 )
+from rieszprod import analysis, core
 from rieszprod.core import TrigPolynomial
 
 TWO_PI = 2 * math.pi
@@ -529,6 +530,34 @@ def test_dimension_integral_matches_per_n_reference_bit_for_bit(method):
     for n in (1, 3, 5):
         assert dimension_integral(spec, n, 8, method, seed=7, samples=70_000) == (
             reference_log_integral(spec, n, 8, method, 7, 70_000))
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])
+def test_dimension_bounds_split_over_cpus_match_reference_bit_for_bit(monkeypatch, method,
+                                                                      parts):
+    monkeypatch.setattr(core, "_cpus", lambda: parts)
+    spec = random_spec(np.random.default_rng(311), count=8)
+    samples = 3 * analysis.SAMPLE_BLOCK + 7
+    # grid nodes and samples both give every part at least SPLIT_MIN elements
+    assert min(8 * spec.freqs.prefix_sum(7), samples) >= 3 * core.SPLIT_MIN
+    report = dimension_bounds(spec, (4, 1, 2, 4), 7, method, seed=13, samples=samples)
+    assert report.l_values == tuple(
+        (n, reference_log_integral(spec, n, 7, method, 13, samples)) for n in (4, 1, 2, 4))
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_inverse_cdf_in_parts_matches_searchsorted(monkeypatch, parts):
+    monkeypatch.setattr(core, "_cpus", lambda: parts)
+    rng = np.random.default_rng(17)
+    cdf = np.cumsum(rng.random(5000))
+    cdf /= cdf[-1]
+    keys = rng.random(3 * analysis.SAMPLE_BLOCK + 5)
+    keys[::97] = cdf[rng.integers(0, cdf.size, keys[::97].size)]  # ties search left
+    keys[1] = keys[7] = 0.0
+    expected = np.searchsorted(cdf, keys, side="left")
+    idx = analysis._inverse_cdf(cdf, keys.copy())
+    assert idx.dtype == np.int64 and np.array_equal(idx, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -457,6 +457,108 @@ def test_full_stdout_is_a_diagnostic(spec_path, unbuffered):
     assert err.startswith("invalid: [Errno 28]") and err.count("\n") == 1
 
 
+# every name the package exported when its __init__ imported each layer eagerly
+PACKAGE_EXPORTS = {
+    "core": "DYADIC LACUNARY3 CapError CoefficientSequence FourierCoefficient "
+            "FrequencySequence RegimeError RieszSpec SignPattern SpectralBand "
+            "SpectralGapError StabilityError TrigPolynomial ValidationError convolve_products "
+            "eval_partial_product expand_partial_product fourier_coefficient "
+            "gram_centered_exponentials randomize_phases spectrum_bands validate_spec",
+    "analysis": "DimensionReport EnergyReport HolderSample alpha_energy_band_series "
+                "alpha_energy_direct dimension_bounds dimension_integral "
+                "energy_dimension_bound holder_transfer_check interval_masses "
+                "interval_measure interval_upper_bound local_holder series_verdict "
+                "smooth_by_vp vallee_poussin_kernel",
+    "classify": "DivergenceWitness SeriesEvidence TailDeclarations Verdict "
+                "build_divergence_witness centered_series_partial_sums classify_pair "
+                "disc_metric_distance series_gap_l2 series_gap_weighted",
+    "qi": "DissociatedBase IntVectorSet LambdaSet Mesh MeshBoundReport MeshIntersection "
+          "QiCheckResult QiMatrix SidonEstimate build_dissociated_base build_lambda "
+          "build_qi_matrix closed_form_column_count mesh_intersection qi_check_bruteforce "
+          "qi_check_mitm sidon_lower_estimate sidon_union_bound verify_mesh_bound",
+    "specio": "Diagnostic SpecFileError load_spec schema_validate",
+}
+
+
+def test_every_package_export_still_resolves():
+    for layer, names in PACKAGE_EXPORTS.items():
+        namespace = {}
+        exec(f"from rieszprod import {', '.join(names.split())}", namespace)
+        module = getattr(rieszprod, layer)
+        for name in names.split():
+            assert namespace[name] is getattr(module, name), name
+            assert name in dir(rieszprod)
+    assert rieszprod.__version__ == "0.1.0"
+    with pytest.raises(AttributeError):
+        rieszprod.no_such_name
+
+
+def run_python(script: str, **env) -> str:
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=child_env(**env), check=True)
+    return proc.stdout
+
+
+def test_importing_the_package_loads_no_layer_and_no_numpy():
+    script = ("import sys, rieszprod; print('numpy' in sys.modules, "
+              "sorted(m for m in sys.modules if m.startswith('rieszprod.')))")
+    assert run_python(script) == "False []\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+@pytest.mark.parametrize("blas, tasks", [(None, 1), ("2", 2)])
+def test_the_cli_loads_numpy_with_one_blas_thread_unless_told(blas, tasks):
+    if tasks > len(os.sched_getaffinity(0)):
+        pytest.skip(f"OpenBLAS starts no more threads than the {tasks} CPUs this needs")
+    script = ("import os; before = dict(os.environ); import rieszprod.cli; "
+              "print(len(os.listdir('/proc/self/task')), os.environ == before, "
+              "os.environ.get('OPENBLAS_NUM_THREADS'))")
+    assert run_python(script, OPENBLAS_NUM_THREADS=blas).split() == [str(tasks), "True",
+                                                                     str(blas)]
+
+
+# a missing spec file is a diagnostic, a qi build past its cap a refusal
+UNWRITABLE_STDERR_CASES = [(("coeffs", "--spec", "/nonexistent", "--depth", "2"), 2),
+                           (("qi", "build", "--nu", "9"), 3)]
+
+
+def run_child_without_stderr(argv, **popen):
+    """The CLI in a child whose stderr cannot be written: (exit code, stdout)."""
+    proc = subprocess.run([sys.executable, "-m", "rieszprod.cli", *argv],
+                          stdout=subprocess.PIPE, text=True, env=child_env(), **popen)
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, exit_code", UNWRITABLE_STDERR_CASES)
+def test_a_full_stderr_keeps_the_exit_code(argv, exit_code):
+    with open("/dev/full", "w") as full:
+        assert run_child_without_stderr(argv, stderr=full) == (exit_code, "")
+
+
+def reopen_fd_2_read_only():
+    os.close(2)
+    os.open(os.devnull, os.O_RDONLY)  # the lowest free descriptor: 2
+
+
+@pytest.mark.parametrize("argv, exit_code", UNWRITABLE_STDERR_CASES)
+@pytest.mark.parametrize("stderr", [lambda: os.close(2), reopen_fd_2_read_only],
+                         ids=["closed", "read-only"])
+def test_a_closed_stderr_keeps_the_exit_code(argv, exit_code, stderr):
+    # closed: the child has no sys.stderr, and the diagnostic must not go to stdout
+    # read-only: every write to fd 2 fails with EBADF
+    assert run_child_without_stderr(argv, preexec_fn=stderr) == (exit_code, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_report_does_not_depend_on_writing_its_stderr_note(spec_path):
+    argv = ("dim", "--spec", spec_path, "--depth", "5", "--n-min", "1", "--n-max", "2")
+    code, out, err = run_child(*argv)
+    assert code == 0 and err.startswith("dimension bracket: [")
+    with open("/dev/full", "w") as full:
+        assert run_child_without_stderr(argv, stderr=full) == (0, out)
+
+
 MONTE_CARLO = ("dim", "--n-min", "1", "--n-max", "1", "--depth", "6",
                "--method", "monte_carlo", "--seed", "1", "--samples")
 

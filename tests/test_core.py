@@ -9,6 +9,7 @@ at frequency sum eps_j lambda_j.  Everything sparse is checked against it.
 import dataclasses
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -335,6 +336,108 @@ def test_eval_nonnegative_on_dense_grid():
         spec = random_spec(rng, count=6)
         values = eval_partial_product(spec, 5, grid)
         assert values.min() >= -1e-9
+
+
+def factor_by_factor(spec, factors, t, start=1.0):
+    """``start`` times the factors j in ``factors`` at the points t, each
+    factor formed over the whole array."""
+    out = np.full_like(t, start)
+    for j in factors:
+        r = spec.coeffs.moduli[j]
+        if r:
+            out *= 1.0 + r * np.cos(spec.freqs.values[j] * t + spec.coeffs.phases[j])
+    return out
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_split_factor_chains_match_whole_array_bit_for_bit(monkeypatch, parts):
+    monkeypatch.setattr(core, "_cpus", lambda: parts)
+    rng = np.random.default_rng(29)
+    spec = random_spec(rng, count=7)
+    ts = rng.uniform(-TWO_PI, TWO_PI, 3 * core.SPLIT_MIN + 11)
+    ts[::5] = 0.0
+    assert np.array_equal(eval_partial_product(spec, 6, ts).view(np.int64),
+                          factor_by_factor(spec, range(7), ts).view(np.int64))
+    out = np.full_like(ts, 2.0)  # a chain continued in ``out``
+    core._multiply_factors(spec, ts, out, range(2, 7))
+    assert np.array_equal(out.view(np.int64),
+                          factor_by_factor(spec, range(2, 7), ts, 2.0).view(np.int64))
+
+
+def test_split_parts_are_contiguous_and_at_least_split_min(monkeypatch):
+    monkeypatch.setattr(core, "_cpus", lambda: 3)
+    for size, bounds in [(core.SPLIT_MIN - 1, [(0, core.SPLIT_MIN - 1)]),
+                         (2 * core.SPLIT_MIN + 1, [(0, core.SPLIT_MIN),
+                                                   (core.SPLIT_MIN, 2 * core.SPLIT_MIN + 1)]),
+                         (3 * core.SPLIT_MIN, [(i * core.SPLIT_MIN, (i + 1) * core.SPLIT_MIN)
+                                               for i in range(3)])]:
+        seen = []
+        values = np.arange(size, dtype=float)
+        core._split(lambda part: seen.append((int(part[0]), int(part[-1]) + 1)), values)
+        assert sorted(seen) == bounds
+
+
+class RecordingThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        RecordingThread.started += 1
+        super().start()
+
+
+def test_split_refuses_phases_before_any_thread_starts(monkeypatch):
+    monkeypatch.setattr(core, "_cpus", lambda: 3)
+    monkeypatch.setattr(core.threading, "Thread", RecordingThread)
+    RecordingThread.started = 0
+    # factor 2 reaches 10^15 * 2 pi > 2^52; factors 0 and 1 are fine
+    spec = RieszSpec(FrequencySequence((1, 10, 10 ** 15)),
+                     CoefficientSequence.constant(0.5, 0.0, 3))
+    ts = np.linspace(0.0, TWO_PI, 3 * core.SPLIT_MIN)
+    out = np.ones_like(ts)
+    with pytest.raises(CapError, match="factor 2"):
+        core._multiply_factors(spec, ts, out, range(3))
+    assert RecordingThread.started == 0
+    assert (out == 1.0).all()  # no factor ran
+    core._multiply_factors(spec, ts, out, range(2))
+    assert RecordingThread.started == 2
+
+
+def test_an_exception_in_a_part_is_raised_in_the_caller(monkeypatch):
+    monkeypatch.setattr(core, "_cpus", lambda: 3)
+    values = np.arange(3 * core.SPLIT_MIN, dtype=float)
+    ran, before = [], threading.active_count()
+
+    def kernel(part):
+        ran.append(int(part[0]))
+        if part[0]:  # the parts that run in threads
+            raise ZeroDivisionError(int(part[0]))
+
+    with pytest.raises(ZeroDivisionError) as info:
+        core._split(kernel, values)
+    assert sorted(ran) == [0, core.SPLIT_MIN, 2 * core.SPLIT_MIN]  # every part ran
+    assert info.value.args == (core.SPLIT_MIN,)  # the first failed part, in order
+    assert threading.active_count() == before
+
+
+def test_a_part_without_a_thread_runs_in_the_caller(monkeypatch):
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(core, "_cpus", lambda: 3)
+    monkeypatch.setattr(core.threading.Thread, "start", refuse)
+    rng = np.random.default_rng(31)
+    spec = random_spec(rng, count=5)
+    ts = rng.uniform(0.0, TWO_PI, 3 * core.SPLIT_MIN)
+    assert np.array_equal(eval_partial_product(spec, 4, ts),
+                          factor_by_factor(spec, range(5), ts))
+
+
+def test_cpus_follow_the_affinity_mask(monkeypatch):
+    if hasattr(core.os, "sched_getaffinity"):
+        assert core._cpus() == len(core.os.sched_getaffinity(0))
+        monkeypatch.delattr(core.os, "sched_getaffinity")
+    monkeypatch.setattr(core.os, "cpu_count", lambda: None)
+    assert core._cpus() == 1
 
 
 def test_eval_agrees_with_expansion_sum():

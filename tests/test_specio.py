@@ -292,3 +292,33 @@ def test_write_report_of_a_real_expansion(tmp_path, fmt, reference):
     assert path.read_bytes() == text.encode("utf-8")
     rows = list(zip(ms.tolist(), cs.real.tolist(), cs.imag.tolist()))
     assert text == reference(["frequency", "re", "im"], rows, {"depth": 9})
+
+
+VERDICT = "convergent"
+ONE = 2 ** 70  # an exact integer beyond int64, one object
+
+
+@pytest.mark.parametrize("fmt, reference", [("csv", row_csv), ("json", row_json)])
+@pytest.mark.parametrize("column", [
+    np.array([0.0, -0.0] * 4), np.array([-0.0, 0.0, 0.0]), np.array([0.1] * 5 + [0.1 + 1e-17]),
+    np.full(6, math.nan), np.full(5, -math.inf), np.full(7, 0.3), np.full(4, 0.3)[::-1],
+    np.array([1.5 + 2j] * 4).imag, [0.0, -0.0, 0.0], [1, 1.0, True], [True, 1, 1.0],
+    [VERDICT] * 5, ["a, \"b\""] * 3, (ONE,) * 4, [ONE, int(str(ONE)), ONE], [math.nan] * 3,
+], ids=repr)
+def test_constant_looking_chunks_format_like_each_cell(fmt, reference, column):
+    """Cells that look alike but differ (0.0 and -0.0; 1, 1.0 and True;
+    equal integers that are two objects) keep their own text; cells that
+    are one value are formatted once."""
+    rows = [[v] for v in (column.tolist() if isinstance(column, np.ndarray) else column)]
+    for chunk_rows in (2, len(rows)):
+        with mock.patch.object(specio, "CHUNK_ROWS", chunk_rows):
+            text = "".join(render(fmt, ["c"], [column], {}))
+        assert text.encode("utf-8") == reference(["c"], rows, {}).encode("utf-8")
+
+
+def test_a_constant_chunk_is_formatted_once():
+    n = 2 * CHUNK_ROWS + 1  # one chunk pair and the middle row
+    with mock.patch.object(specio, "_cell", wraps=specio._cell) as cell:
+        text = "".join(render("csv", ["v"], [[VERDICT] * n], {}))
+    assert cell.call_count == 3
+    assert text.splitlines()[2:] == [VERDICT] * n
