@@ -33,8 +33,9 @@ from .core import (
     ValidationError,
     _check_depth,
     _check_grid,
+    _grid,
     _levels,
-    _multiply_factors,
+    _partial_products,
     _require_float_phases,
     _split,
     convolve_products,
@@ -434,12 +435,11 @@ def dimension_bounds(spec: RieszSpec, n_range, depth: int,
     with L_n as in ``dimension_integral``.
 
     The arguments of every n are checked first; the grid, P_depth and the
-    Monte Carlo samples are then built once and shared by every n.  The
-    factor chain to P_depth copies out P_n of the largest n on its way, and
-    a second chain takes P_n for the other distinct n in ascending order
-    (the smallest n over the clipping cap is the one refused).  These
-    are proxies for the limsup/liminf bracket, labelled as such; both ends
-    are clamped to [0, 1] with the clamping recorded.
+    Monte Carlo samples are then built once and shared by every n, and one
+    factor chain takes P_n for the distinct n in ascending order (the
+    smallest n over the clipping cap is the one refused).  These are
+    proxies for the limsup/liminf bracket, labelled as such; both ends are
+    clamped to [0, 1] with the clamping recorded.
     """
     n_range = tuple(int(n) for n in n_range)
     if not n_range:
@@ -463,15 +463,12 @@ def dimension_bounds(spec: RieszSpec, n_range, depth: int,
         _check_grid(samples, "Monte Carlo sampling")
     nodes = 8 * spec.freqs.prefix_sum(depth)
     _check_grid(nodes, f"the quadrature grid at depth {depth}")
-    grid = 2.0 * math.pi * np.arange(nodes) / nodes
-    ns = sorted(set(n_range))
+    grid = _grid(nodes)
     monte_carlo = method == "monte_carlo"
     # Monte Carlo: P_depth becomes the CDF in place, then holds log P_n at
     # every sample, so its buffer has room for both
     buffer = np.ones(max(nodes, samples) if monte_carlo else nodes)
-    p_depth = _multiply_factors(spec, grid, buffer[:nodes], range(ns[-1] + 1))
-    p_n = p_depth.copy()
-    _multiply_factors(spec, grid, p_depth, range(ns[-1] + 1, depth + 1))
+    _, p_depth = next(_partial_products(spec, grid, buffer[:nodes], (depth,)))
     if monte_carlo:
         cdf = np.cumsum(p_depth, out=p_depth)
         cdf /= cdf[-1]
@@ -479,7 +476,6 @@ def dimension_bounds(spec: RieszSpec, n_range, depth: int,
         log_p = buffer[:samples]
     else:
         log_p = np.empty_like(grid)
-    clipped = {}
 
     def weighted_log(p_n, log_p, p_depth):  # quadrature: log P_n times P_depth, nodewise
         np.log(np.maximum(p_n, LOG_CLIP, out=log_p), out=log_p)
@@ -489,26 +485,19 @@ def dimension_bounds(spec: RieszSpec, n_range, depth: int,
         np.take(p_n, idx, out=log_p, mode="clip")  # "raise" would buffer the output
         np.log(np.maximum(log_p, LOG_CLIP, out=log_p), out=log_p)
 
-    def log_mean(n):  # the parts fill log_p; the mean sums it whole, in one order
-        clipped[n] = int(np.count_nonzero(p_n < LOG_CLIP))
+    means = {}
+    for n, p_n in _partial_products(spec, grid, np.ones_like(grid), n_range):
+        clipped = int(np.count_nonzero(p_n < LOG_CLIP))
+        if clipped / grid.size >= MAX_CLIPPED_FRACTION:
+            raise ValidationError(
+                f"{clipped} of {grid.size} nodes clipped at the log floor; "
+                "quadrature invalid at this depth", "clipping")
+        # the parts fill log_p; the mean sums it whole, in one order
         if monte_carlo:
             _split(sampled_log, idx, log_p)
         else:
             _split(weighted_log, p_n, log_p, p_depth)
-        return float(np.mean(log_p))
-
-    means = {ns[-1]: log_mean(ns[-1])}
-    p_n.fill(1.0)
-    done = 0
-    for n in ns:
-        if n != ns[-1]:
-            _multiply_factors(spec, grid, p_n, range(done, n + 1))
-            done = n + 1
-            means[n] = log_mean(n)
-        if clipped[n] / grid.size >= MAX_CLIPPED_FRACTION:
-            raise ValidationError(
-                f"{clipped[n]} of {grid.size} nodes clipped at the log floor; "
-                "quadrature invalid at this depth", "clipping")
+        means[n] = float(np.mean(log_p))
     ls = [means[n] / math.log(spec.freqs.values[n]) for n in n_range]
     lower_raw = 1.0 - max(ls)
     upper_raw = 1.0 - min(ls)
@@ -560,14 +549,8 @@ def holder_transfer_check(spec: RieszSpec, beta: float, n_range,
             "regime")
     t_grid = [float(t) for t in t_grid]
     s_grid = [float(s) for s in s_grid]
-    big_c = max(
-        interval_measure(spec, depth, t, s) / s ** beta
-        for t in t_grid for s in s_grid)
+    masses = (interval_masses(spec, depth, t) for t in t_grid)  # one exponential per center
+    big_c = max(mass(s) / s ** beta for mass in masses for s in s_grid)
     t_arr = np.asarray(t_grid, dtype=float)
-    p_n, done, peaks = np.ones_like(t_arr), 0, {}
-    for n in sorted(set(n_range)):  # one factor chain for every P_n
-        _check_depth(spec, n, "n")
-        _multiply_factors(spec, t_arr, p_n, range(done, n + 1))
-        done = n + 1
-        peaks[n] = float(np.max(p_n)) / spec.freqs.values[n] ** (1.0 - beta)
-    return big_c, max(peaks.values())
+    return big_c, max(float(np.max(p_n)) / spec.freqs.values[n] ** (1.0 - beta)
+                      for n, p_n in _partial_products(spec, t_arr, np.ones_like(t_arr), n_range))

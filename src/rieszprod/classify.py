@@ -95,8 +95,7 @@ class TailDeclarations:
     lacunarity: str = TAIL_UNKNOWN
 
     def __post_init__(self):
-        for name in ("l2_gap", "weighted_gap_ab", "weighted_gap_ba",
-                     "disc_metric_gap", "lacunarity"):
+        for name in self._fields:
             if getattr(self, name) not in TAILS:
                 raise ValidationError(
                     f"unknown tail declaration for {name}: {getattr(self, name)!r}",

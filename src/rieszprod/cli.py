@@ -33,6 +33,7 @@ from .core import (
     CapError,
     ValidationError,
     _check_grid,
+    _grid,
     eval_partial_product,
     expand_partial_product,
     gram_centered_exponentials,
@@ -101,8 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
     command("coeffs", "expansion coefficients of a partial product", spec, depth)
 
     p = command("eval", "pointwise evaluation", spec, depth)
-    p.add_argument("--t", help="comma-separated points")
-    p.add_argument("--grid", type=int, help="number of uniform grid points")
+    points = p.add_mutually_exclusive_group()
+    points.add_argument("--t", help="comma-separated points")
+    points.add_argument("--grid", type=int, help="number of uniform grid points")
 
     command("spectrum", "spectral bands", spec, depth)
     command("convolve", "Fourier-side convolution of two partial products", pair, depth)
@@ -204,7 +206,7 @@ def _eval(args) -> Report:
         if args.grid < 1:
             raise ValidationError(f"--grid must be >= 1, got {args.grid}", "arguments")
         _check_grid(args.grid, "the evaluation grid")
-        ts = 2 * math.pi * np.arange(args.grid) / args.grid
+        ts = _grid(args.grid)
     elif args.t:
         ts = np.array(_comma_floats(args.t))
     else:

@@ -636,12 +636,9 @@ def eval_partial_product(spec: RieszSpec, n: int, t):
     refused once a phase lambda_j*t of a factor with r_j > 0 reaches 2^52,
     where float64 keeps no fractional digit.
     """
-    _check_depth(spec, n, "n")
     tt = np.atleast_1d(np.asarray(t, dtype=float))
-    out = _multiply_factors(spec, tt, np.ones_like(tt), range(n + 1))
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return float(out[0])
-    return out
+    _, out = next(_partial_products(spec, tt, np.ones_like(tt), (n,)))
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def _cpus() -> int:
@@ -691,16 +688,29 @@ def _split(kernel, *arrays) -> None:
             raise err
 
 
-def _multiply_factors(spec: RieszSpec, t: np.ndarray, out: np.ndarray,
-                      factors: range) -> np.ndarray:
-    """``out`` multiplied in place by the factors j in ``factors`` at the
-    points ``t``, skipping r_j = 0; phases lambda_j*t >= 2^52 are refused
-    before any factor runs.  Each ``_split`` part of the points forms its
-    factors in its part of one scratch array, operation by operation."""
-    reach = float(np.max(np.abs(t), initial=0.0))
+def _grid(size: int) -> np.ndarray:
+    """The uniform nodes 2 pi k / size, k < size, formed in one array: bit for
+    bit ``2 * pi * arange(size) / size`` without its two temporaries."""
+    nodes = np.arange(size, dtype=float)
+    nodes *= TWO_PI
+    nodes /= size
+    return nodes
+
+
+def _partial_products(spec: RieszSpec, t: np.ndarray, out: np.ndarray, ns):
+    """Yield (n, out) for the distinct n of ``ns`` ascending, ``out`` then holding
+    its entry values times P_n at the points ``t``: one factor chain (r_j = 0
+    skipped) whose segments run in place through ``_split``, each part forming
+    its factors in its part of one scratch array.  Bad n, non-finite points and
+    phases lambda_j*t >= 2^52 through max(ns) are refused before any factor
+    runs; max |t| comes from two reductions, without a full-size |t|."""
+    ns = sorted(set(ns))
+    for n in ns:
+        _check_depth(spec, n, "n")
+    reach = float(np.max(np.abs((t.min(initial=0.0), t.max(initial=0.0)))))
     _phase_limit_reached(0, reach)  # non-finite points are refused even when no factor runs
     active = []
-    for j in factors:
+    for j in range(max(ns, default=-1) + 1):
         r, lam = spec.coeffs.moduli[j], spec.freqs.values[j]
         if r == 0.0:
             continue
@@ -708,10 +718,10 @@ def _multiply_factors(spec: RieszSpec, t: np.ndarray, out: np.ndarray,
             raise CapError(
                 f"evaluation needs float64 phases lambda_j*t below 2^52; factor {j} has "
                 f"lambda_j = {lam} and max |t| = {reach!r}")
-        active.append((lam, spec.coeffs.phases[j], r))
+        active.append((j, lam, spec.coeffs.phases[j], r))
 
     def kernel(t, out, factor):
-        for lam, phase, r in active:
+        for lam, phase, r in segment:
             np.multiply(lam, t, out=factor)
             factor += phase
             np.cos(factor, out=factor)
@@ -719,9 +729,13 @@ def _multiply_factors(spec: RieszSpec, t: np.ndarray, out: np.ndarray,
             factor += 1.0
             out *= factor
 
-    if active:
-        _split(kernel, t, out, np.empty_like(t))
-    return out
+    scratch, done = np.empty_like(t), 0
+    for n in ns:
+        segment = [factor for j, *factor in active if done <= j <= n]
+        if segment:
+            _split(kernel, t, out, scratch)
+        done = n + 1
+        yield n, out
 
 
 def _representation(freqs: FrequencySequence, m: int, depth: int) -> SignPattern | None:

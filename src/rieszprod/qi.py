@@ -47,7 +47,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import CapError, SignPattern, ValidationError, record
+from .core import CapError, SignPattern, ValidationError, _grid, record
 
 BRUTE_FORCE_CAP = 16
 MITM_CAP = 32
@@ -623,7 +623,7 @@ def sidon_lower_estimate(frequencies: Iterable[int], trials: int = 200,
         raise CapError(
             f"grid budget exceeded: {k} frequencies x {m_grid} nodes > "
             f"{SIDON_GRID_BUDGET}")
-    t = 2.0 * math.pi * np.arange(m_grid) / m_grid
+    t = _grid(m_grid)
     basis = np.exp(1j * np.outer(np.array(freqs, dtype=float), t))
     rng = np.random.default_rng(seed)
     best_ratio = 0.0

@@ -28,6 +28,8 @@ import numpy as np
 
 from .classify import TAILS, TailDeclarations
 from .core import (
+    LACUNARY3,
+    REGIMES,
     CoefficientSequence,
     FrequencySequence,
     RieszSpec,
@@ -182,10 +184,10 @@ def _build_spec(doc, out: list[Diagnostic]):
     if not isinstance(doc, dict):
         out.append(Diagnostic("", "document must be a JSON object"))
         return None, None
-    regime = doc.get("regime", "lacunary3")
-    if regime not in ("lacunary3", "dyadic"):
-        out.append(Diagnostic("regime", "must be 'lacunary3' or 'dyadic'"))
-        regime = "lacunary3"
+    regime = doc.get("regime", LACUNARY3)
+    if regime not in REGIMES:
+        out.append(Diagnostic("regime", f"must be {' or '.join(map(repr, REGIMES))}"))
+        regime = LACUNARY3
     freqs = _check_frequencies(doc, out)
     coeffs, seed = _check_coefficients(
         doc, len(freqs) if freqs is not None else None, out)
@@ -236,8 +238,7 @@ def load_tails(path) -> TailDeclarations:
     doc = read_document(path)
     if not isinstance(doc, dict):
         raise SpecFileError([Diagnostic(str(path), "tails file must be a JSON object")])
-    known = ("l2_gap", "weighted_gap_ab", "weighted_gap_ba",
-             "disc_metric_gap", "lacunarity")
+    known = TailDeclarations._fields
     diagnostics = []
     for key, value in doc.items():
         if key not in known:

@@ -546,6 +546,20 @@ def test_dimension_bounds_split_over_cpus_match_reference_bit_for_bit(monkeypatc
         (n, reference_log_integral(spec, n, 7, method, 13, samples)) for n in (4, 1, 2, 4))
 
 
+def test_dimension_bounds_refuse_the_smallest_clipped_n(monkeypatch):
+    # with the log floor at 1e-6, P_1 clips below MAX_CLIPPED_FRACTION of the
+    # nodes and P_2, P_3 above it
+    monkeypatch.setattr(analysis, "LOG_CLIP", 1e-6)
+    spec = geometric_spec(4, 7)
+    nodes = 8 * spec.freqs.prefix_sum(6)
+    grid = TWO_PI * np.arange(nodes) / nodes
+    clipped = [int(np.count_nonzero(eval_partial_product(spec, n, grid) < 1e-6))
+               for n in range(4)]
+    assert clipped[1] < analysis.MAX_CLIPPED_FRACTION * nodes <= min(clipped[2:])
+    with pytest.raises(ValidationError, match=f"^{clipped[2]} of {nodes} nodes clipped"):
+        dimension_bounds(spec, (3, 1, 2), 6)
+
+
 @pytest.mark.parametrize("parts", [1, 2, 3])
 def test_inverse_cdf_in_parts_matches_searchsorted(monkeypatch, parts):
     monkeypatch.setattr(core, "_cpus", lambda: parts)
@@ -595,6 +609,19 @@ def test_holder_transfer_detects_infeasible_beta():
     c_shallow, _ = holder_transfer_check(spec, 1.5, range(2, 5), t_grid, shallow, 7)
     c_deep, _ = holder_transfer_check(spec, 1.5, range(2, 5), t_grid, deep, 7)
     assert c_deep > 4.0 * c_shallow  # beta > 1 cannot hold as s -> 0
+
+
+def test_holder_transfer_constants_match_per_pair_and_per_n_references():
+    rng = np.random.default_rng(109)
+    spec = random_spec(rng, count=8)
+    t_grid = rng.uniform(-TWO_PI, TWO_PI, 7).tolist()
+    s_grid = [2.0 ** -k for k in range(1, 10)]
+    n_range, beta = (5, 2, 7, 2), 0.7
+    c, c_prime = holder_transfer_check(spec, beta, n_range, t_grid, s_grid, 6)
+    assert c == max(interval_measure(spec, 6, t, s) / s ** beta
+                    for t in t_grid for s in s_grid)
+    assert c_prime == max(float(np.max(eval_partial_product(spec, n, np.array(t_grid))))
+                          / spec.freqs.values[n] ** (1.0 - beta) for n in n_range)
 
 
 def test_holder_transfer_requires_strict_lacunarity():

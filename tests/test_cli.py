@@ -216,6 +216,13 @@ def test_unknown_command_exits_two(capsys):
     assert exit_info.value.code == 2
 
 
+def test_eval_takes_points_or_a_grid_not_both(capsys, spec_path):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["eval", "--spec", spec_path, "--depth", "1", "--grid", "5", "--t", "1"])
+    assert exit_info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_classify_command(capsys, tmp_path):
     freqs = {"rule": "geometric", "base": 4, "count": 16}
     spec_a = tmp_path / "a.json"

@@ -10,6 +10,7 @@ import dataclasses
 import itertools
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -358,10 +359,37 @@ def test_split_factor_chains_match_whole_array_bit_for_bit(monkeypatch, parts):
     ts[::5] = 0.0
     assert np.array_equal(eval_partial_product(spec, 6, ts).view(np.int64),
                           factor_by_factor(spec, range(7), ts).view(np.int64))
-    out = np.full_like(ts, 2.0)  # a chain continued in ``out``
-    core._multiply_factors(spec, ts, out, range(2, 7))
-    assert np.array_equal(out.view(np.int64),
-                          factor_by_factor(spec, range(2, 7), ts, 2.0).view(np.int64))
+    # one ascending chain over a set of n, multiplied into ``out``'s values
+    for ns in [(6,), (0, 6), (5, 1, 3, 3), (2, 3, 4), range(7)]:
+        out = np.full_like(ts, 2.0)
+        seen = []
+        for n, values in core._partial_products(spec, ts, out, ns):
+            assert values is out
+            assert np.array_equal(out.view(np.int64),
+                                  factor_by_factor(spec, range(n + 1), ts, 2.0).view(np.int64))
+            seen.append(n)
+        assert seen == sorted(set(ns))
+
+
+@given(st.integers(1, core.GRID_BUDGET))
+@example(20_000)
+@example(131_072)
+@example(699_048)
+@settings(max_examples=25, deadline=None)
+def test_grid_equals_the_textbook_nodes_bit_for_bit(size):
+    expected = 2 * math.pi * np.arange(size) / size
+    assert np.array_equal(core._grid(size).view(np.int64), expected.view(np.int64))
+
+
+def test_grid_holds_one_array():
+    size = 699_048
+    tracemalloc.start()
+    try:
+        grid = core._grid(size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.nbytes <= peak < grid.nbytes + 64 * 1024
 
 
 def test_split_parts_are_contiguous_and_at_least_split_min(monkeypatch):
@@ -394,12 +422,20 @@ def test_split_refuses_phases_before_any_thread_starts(monkeypatch):
                      CoefficientSequence.constant(0.5, 0.0, 3))
     ts = np.linspace(0.0, TWO_PI, 3 * core.SPLIT_MIN)
     out = np.ones_like(ts)
+    # the chain through max(n) is checked before its first segment runs
     with pytest.raises(CapError, match="factor 2"):
-        core._multiply_factors(spec, ts, out, range(3))
+        next(core._partial_products(spec, ts, out, (0, 2)))
+    with pytest.raises(ValidationError, match="n=3 out of range"):
+        next(core._partial_products(spec, ts, out, (0, 3)))
+    bad = ts.copy()
+    bad[-1] = math.nan
+    with pytest.raises(ValidationError, match="points must be finite, got nan"):
+        next(core._partial_products(spec, bad, out, (0,)))
     assert RecordingThread.started == 0
     assert (out == 1.0).all()  # no factor ran
-    core._multiply_factors(spec, ts, out, range(2))
-    assert RecordingThread.started == 2
+    for _ in core._partial_products(spec, ts, out, (0, 1)):
+        pass
+    assert RecordingThread.started == 4  # two segments of three parts
 
 
 def test_an_exception_in_a_part_is_raised_in_the_caller(monkeypatch):

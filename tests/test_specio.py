@@ -96,6 +96,9 @@ def test_geometric_base_two_without_dyadic_is_rejected():
     assert "lacunarity ratio" in diagnostics[0].message
     doc_dyadic = dict(doc, regime="dyadic")
     assert validate_document(doc_dyadic) == []
+    # an unknown regime is named and the lacunary3 checks still run
+    assert [(d.path, d.message) for d in validate_document(dict(doc, regime="triadic"))] == [
+        ("regime", "must be 'lacunary3' or 'dyadic'"), ("frequencies.base", diagnostics[0].message)]
 
 
 def test_structural_diagnostics_have_paths():
@@ -131,10 +134,15 @@ def test_load_tails(tmp_path):
     tails = load_tails(path)
     assert tails.l2_gap == "divergent"
     assert tails.weighted_gap_ab == "unknown"
-    with pytest.raises(SpecFileError):
+    with pytest.raises(SpecFileError) as info:
         load_tails(write(tmp_path, "bad_tails.json", {"l2_gap": "maybe"}))
-    with pytest.raises(SpecFileError):
+    assert [(d.path, d.message) for d in info.value.diagnostics] == [
+        ("l2_gap", "tail must be one of ('divergent', 'convergent', 'unknown')")]
+    with pytest.raises(SpecFileError) as info:
         load_tails(write(tmp_path, "bad_name.json", {"mystery": "divergent"}))
+    assert [(d.path, d.message) for d in info.value.diagnostics] == [(
+        "mystery", "unknown series name; expected one of ('l2_gap', 'weighted_gap_ab', "
+        "'weighted_gap_ba', 'disc_metric_gap', 'lacunarity')")]
 
 
 def test_render_csv_shape():
