@@ -74,7 +74,7 @@ print(f"  running sum of |c_j|^2 stays bounded: "
       f"{witness.l2_norm_partial[-1]:.6f} < 2/sigma_0 = "
       f"{2 / abs(a.coefficient(0) - b.coefficient(0)) ** 2:.0f}")
 
-t = 1.234
+t = 1.234e-13  # every phase lambda_j*t of the 48 frequencies stays below 2^52
 sums_a = centered_series_partial_sums(a, witness.c, t)
 sums_b = centered_series_partial_sums(b, witness.c, t)
 print()

@@ -26,6 +26,7 @@ from .core import (
     LACUNARY3,
     MAX_EXPANSION_DEPTH,
     CapError,
+    Record,
     RegimeError,
     RieszSpec,
     SpectralGapError,
@@ -40,7 +41,6 @@ from .core import (
     _split,
     convolve_products,
     expand_partial_product,
-    record,
 )
 
 VERDICT_CONVERGENT = "convergent"
@@ -55,8 +55,7 @@ MAX_CLIPPED_FRACTION = 1e-3
 SAMPLE_BLOCK = 2 ** 16  # Monte Carlo keys searched per sorted block
 
 
-@record
-class EnergyReport:
+class EnergyReport(Record):
     """Partial sums of an alpha-energy series and the verdict they support.
 
     ``terms`` and ``partial_sums`` are aligned with ``cutoffs``: for the
@@ -78,8 +77,7 @@ class EnergyReport:
         return self.partial_sums[-1] if self.partial_sums else 0.0
 
 
-@record
-class DimensionReport:
+class DimensionReport(Record):
     """Finite-n proxies for the dimension bracket 1 - limsup/liminf L_n."""
 
     n_range: tuple[int, ...]
@@ -92,8 +90,7 @@ class DimensionReport:
     upper_raw: float
 
 
-@record
-class HolderSample:
+class HolderSample(Record):
     """log mu([t-s,t+s]) / log s over a ladder of admissible scales."""
 
     t: float
@@ -265,11 +262,8 @@ def vallee_poussin_kernel(plateau: int) -> TrigPolynomial:
     p = int(plateau)
     if p < 1:
         raise ValidationError(f"plateau must be >= 1, got {p}", "plateau")
-    coeffs: dict[int, complex] = {}
-    for m in range(-2 * p, 2 * p + 1):
-        am = abs(m)
-        coeffs[m] = 1.0 + 0j if am <= p else complex((2 * p - am) / p)
-    return TrigPolynomial(coeffs)
+    return TrigPolynomial({m: complex(min(1.0, (2 * p - abs(m)) / p))
+                           for m in range(-2 * p, 2 * p + 1)})
 
 
 def smooth_by_vp(spec: RieszSpec, n: int, depth: int, t):
@@ -547,8 +541,11 @@ def holder_transfer_check(spec: RieszSpec, beta: float, n_range,
         raise RegimeError(
             "transfer constants need 3 < ratio_min and finite ratio_max",
             "regime")
-    t_grid = [float(t) for t in t_grid]
-    s_grid = [float(s) for s in s_grid]
+    n_range = tuple(n_range)
+    t_grid, s_grid = [float(t) for t in t_grid], [float(s) for s in s_grid]
+    for name, values in (("n_range", n_range), ("t_grid", t_grid), ("s_grid", s_grid)):
+        if not values:
+            raise ValidationError(f"{name} is empty", name)
     masses = (interval_masses(spec, depth, t) for t in t_grid)  # one exponential per center
     big_c = max(mass(s) / s ** beta for mass in masses for s in s_grid)
     t_arr = np.asarray(t_grid, dtype=float)

@@ -31,10 +31,11 @@ import numpy as np
 from .core import (
     LACUNARY3,
     CoefficientSequence,
+    Record,
     RegimeError,
     RieszSpec,
     ValidationError,
-    record,
+    _refuse_factor_phases,
 )
 
 TAIL_DIVERGENT = "divergent"
@@ -53,8 +54,7 @@ CRITERION_EQUAL_MODULI = "equal_moduli_l2_gap_convergent"
 CRITERION_DISC_METRIC = "disc_metric_gap_convergent"
 
 
-@record
-class SeriesEvidence:
+class SeriesEvidence(Record):
     """Partial sums of a nonnegative series plus the declared tail behavior."""
 
     name: str
@@ -84,8 +84,7 @@ class SeriesEvidence:
         return (self.partial_sums[-1] - self.partial_sums[k]) / span
 
 
-@record
-class TailDeclarations:
+class TailDeclarations(Record):
     """Caller-supplied tail behavior for the rule-generated series."""
 
     l2_gap: str = TAIL_UNKNOWN
@@ -102,8 +101,7 @@ class TailDeclarations:
                     "tail")
 
 
-@record
-class Verdict:
+class Verdict(Record):
     outcome: str
     criterion: str | None
     evidence: tuple[tuple[str, SeriesEvidence], ...] = ()
@@ -114,8 +112,7 @@ class Verdict:
                 "outcome is unknown exactly when no criterion fired", "verdict")
 
 
-@record
-class DivergenceWitness:
+class DivergenceWitness(Record):
     """The explicit sequence driving the singularity proof."""
 
     c: tuple[complex, ...]
@@ -301,6 +298,10 @@ def centered_series_partial_sums(spec: RieszSpec, c, t: float) -> np.ndarray:
     """
     c = np.asarray([complex(x) for x in c])
     n = len(c)
+    if n > len(spec.freqs):
+        raise ValidationError(
+            f"c has {n} terms but the spec only {len(spec.freqs)} frequencies", "c")
+    _refuse_factor_phases(spec, range(n), abs(float(t)))
     lams = np.array(spec.freqs.values[:n], dtype=float)
     avals = np.array([spec.coefficient(j) for j in range(n)])
     terms = c * (np.exp(1j * lams * t) - avals.conjugate() / 2.0)

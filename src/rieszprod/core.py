@@ -97,8 +97,16 @@ class CapError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-class _Record:
-    """The methods ``record`` gives a class: shared functions, no generated code."""
+class Record:
+    """An immutable value, as ``@dataclass(frozen=True)`` makes one: a record's
+    fields are its own annotations, in order, given by position or keyword, with
+    its class attributes as defaults; ``__post_init__`` runs last (it may set
+    fields through ``object.__setattr__``); equality and hashing go by the fields
+    within one class.  Subclasses inherit the methods: none generates code."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
 
     def __init__(self, *args, **kwargs):
         cls, names = type(self), self._fields
@@ -110,8 +118,10 @@ class _Record:
             missing = [name for name in names if name not in values]
             raise TypeError(f"{cls.__name__}() is missing the fields {missing}")
         self.__dict__.update(values)
-        if hasattr(cls, "__post_init__"):
-            self.__post_init__()
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check or normalise the fields once they are set (subclasses override)."""
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -137,26 +147,12 @@ def _field_values(obj) -> tuple:
     return tuple(getattr(obj, name) for name in obj._fields)
 
 
-def record(cls):
-    """Make ``cls`` an immutable value over its annotated fields, in order, as
-    ``@dataclass(frozen=True)`` would: fields are given by position or keyword,
-    class attributes are their defaults, ``__post_init__`` runs last (it may set
-    fields through ``object.__setattr__``), equality and hashing go by the fields
-    within one class.  The methods are shared, so no class costs code generation."""
-    cls._fields = tuple(cls.__annotations__)
-    cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
-    for name in ("__init__", "__setattr__", "__delattr__", "__eq__", "__hash__", "__repr__"):
-        setattr(cls, name, vars(_Record)[name])
-    return cls
-
-
 def replace(obj, **changes):
     """A copy of the record ``obj`` with ``changes``; its ``__post_init__`` runs again."""
     return type(obj)(**{**dict(zip(obj._fields, _field_values(obj))), **changes})
 
 
-@record
-class FrequencySequence:
+class FrequencySequence(Record):
     """Strictly increasing positive integer frequencies lambda_0 < ... < lambda_J."""
 
     values: tuple[int, ...]
@@ -236,15 +232,11 @@ class FrequencySequence:
 
     def is_geometric(self) -> int | None:
         """The common integer ratio if lambda_j = lambda_0 * q^j, else None."""
-        if len(self.values) < 2:
+        vals = self.values
+        if len(vals) < 2 or vals[1] % vals[0]:
             return None
-        q, rem = divmod(self.values[1], self.values[0])
-        if rem != 0 or q < 2:
-            return None
-        for j in range(len(self.values) - 1):
-            if self.values[j + 1] != self.values[j] * q:
-                return None
-        return q
+        q = vals[1] // vals[0]  # >= 2, the values being increasing
+        return q if all(b == a * q for a, b in zip(vals, vals[1:])) else None
 
 
 def _canonical_phase(r: float, theta: float) -> float:
@@ -256,8 +248,7 @@ def _canonical_phase(r: float, theta: float) -> float:
     return theta
 
 
-@record
-class CoefficientSequence:
+class CoefficientSequence(Record):
     """Complex coefficients a_j stored as moduli r_j >= 0 and phases in [0, 2pi).
 
     Canonical form: r_j = 0 forces theta_j = 0, so coefficient equality is
@@ -312,8 +303,7 @@ class CoefficientSequence:
         return max(self.moduli) if self.moduli else 0.0
 
 
-@record
-class RieszSpec:
+class RieszSpec(Record):
     """Frequencies plus coefficients plus the regime they are meant for, valid by
     construction: building one (also by ``replace``) runs ``validate_spec``."""
 
@@ -378,8 +368,7 @@ def validate_spec(spec: RieszSpec) -> RieszSpec:
     return spec
 
 
-@record
-class SignPattern:
+class SignPattern(Record):
     """Finite map j -> eps_j in {-1,+1} (zeros omitted)."""
 
     entries: tuple[tuple[int, int], ...]
@@ -505,8 +494,7 @@ class TrigPolynomial:
         return out
 
 
-@record
-class SpectralBand:
+class SpectralBand(Record):
     """Positive frequencies of the expansion whose top participating index is n."""
 
     index: int
@@ -515,8 +503,7 @@ class SpectralBand:
     freqs: tuple[int, ...]
 
 
-@record
-class FourierCoefficient:
+class FourierCoefficient(Record):
     value: complex
     stable: bool
 
@@ -550,6 +537,19 @@ def _phase_limit_reached(bound: int, reach: float) -> bool:
         raise ValidationError(f"points must be finite, got {reach}", "points")
     num, den = float(reach).as_integer_ratio()
     return bound * num >= PHASE_LIMIT * den
+
+
+def _refuse_factor_phases(spec: RieszSpec, js, reach: float) -> None:
+    """Refuse the factors j of ``js`` whose float64 phases lambda_j*t, |t| <= reach,
+    reach 2^52 or whose lambda_j exceeds float64; a non-finite reach is a
+    ValidationError even when ``js`` is empty."""
+    _phase_limit_reached(0, reach)
+    for j in js:
+        lam = spec.freqs.values[j]
+        if lam > sys.float_info.max or _phase_limit_reached(lam, reach):
+            raise CapError(
+                f"evaluation needs float64 phases lambda_j*t below 2^52; factor {j} has "
+                f"lambda_j = {lam} and max |t| = {reach!r}")
 
 
 def _require_float_phases(spec: RieszSpec, depth: int, reader: str, reach: float) -> None:
@@ -708,17 +708,8 @@ def _partial_products(spec: RieszSpec, t: np.ndarray, out: np.ndarray, ns):
     for n in ns:
         _check_depth(spec, n, "n")
     reach = float(np.max(np.abs((t.min(initial=0.0), t.max(initial=0.0)))))
-    _phase_limit_reached(0, reach)  # non-finite points are refused even when no factor runs
-    active = []
-    for j in range(max(ns, default=-1) + 1):
-        r, lam = spec.coeffs.moduli[j], spec.freqs.values[j]
-        if r == 0.0:
-            continue
-        if lam > sys.float_info.max or _phase_limit_reached(lam, reach):
-            raise CapError(
-                f"evaluation needs float64 phases lambda_j*t below 2^52; factor {j} has "
-                f"lambda_j = {lam} and max |t| = {reach!r}")
-        active.append((j, lam, spec.coeffs.phases[j], r))
+    active = [j for j in range(max(ns, default=-1) + 1) if spec.coeffs.moduli[j] != 0.0]
+    _refuse_factor_phases(spec, active, reach)
 
     def kernel(t, out, factor):
         for lam, phase, r in segment:
@@ -731,7 +722,8 @@ def _partial_products(spec: RieszSpec, t: np.ndarray, out: np.ndarray, ns):
 
     scratch, done = np.empty_like(t), 0
     for n in ns:
-        segment = [factor for j, *factor in active if done <= j <= n]
+        segment = [(spec.freqs.values[j], spec.coeffs.phases[j], spec.coeffs.moduli[j])
+                   for j in active if done <= j <= n]
         if segment:
             _split(kernel, t, out, scratch)
         done = n + 1

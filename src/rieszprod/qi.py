@@ -47,7 +47,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import CapError, SignPattern, ValidationError, _grid, record
+from .core import CapError, Record, SignPattern, ValidationError, _grid
 
 BRUTE_FORCE_CAP = 16
 MITM_CAP = 32
@@ -63,8 +63,7 @@ _SIDON_PEAKS = 64  # largest |p| nodes a trial move is checked on first
 RESIDUE_PRIME = 2 ** 57 - 13
 
 
-@record
-class IntVectorSet:
+class IntVectorSet(Record):
     """Finite list of distinct nonzero integer vectors of a common dimension."""
 
     elements: tuple[tuple[int, ...], ...]
@@ -103,8 +102,7 @@ class IntVectorSet:
         return max((abs(x) for v in self.elements for x in v), default=0)
 
 
-@record
-class QiCheckResult:
+class QiCheckResult(Record):
     quasi_independent: bool
     witness: SignPattern | None
 
@@ -234,8 +232,7 @@ def closed_form_column_count(nu: int) -> int:
     return 2 ** (nu - 1) * (2 + nu)
 
 
-@record
-class QiMatrix:
+class QiMatrix(Record):
     """Level-nu matrix with 2^nu rows, N_nu quasi-independent columns in {-1,0,1}."""
 
     nu: int
@@ -288,8 +285,7 @@ def build_qi_matrix(nu: int) -> QiMatrix:
     return QiMatrix(nu, tuple(tuple(int(x) for x in row) for row in a))
 
 
-@record
-class DissociatedBase:
+class DissociatedBase(Record):
     """Greedy base beta_j = 1 + 2 sum_{i<j} B_i beta_i (1-indexed j).
 
     The per-index bounds are B_1 = 3 and B_j = N_nu for 2^nu <= j < 2^{nu+1};
@@ -337,8 +333,7 @@ def build_dissociated_base(nu_max: int) -> DissociatedBase:
     return DissociatedBase(tuple(beta), tuple(bounds), nu_max)
 
 
-@record
-class LambdaSet:
+class LambdaSet(Record):
     """Block-major contraction of the level matrices onto the integers.
 
     Block nu contributes the N_nu values (beta-block of level nu) @ A_nu,
@@ -384,8 +379,7 @@ def build_lambda(nu_max: int) -> LambdaSet:
 # ---------------------------------------------------------------------------
 
 
-@record
-class Mesh:
+class Mesh(Record):
     """Integer combinations sum n_j gamma_j with |n_j| <= bounds_j."""
 
     generators: tuple[int, ...]
@@ -437,8 +431,7 @@ class Mesh:
         return True
 
 
-@record
-class MeshIntersection:
+class MeshIntersection(Record):
     count: int
     members: tuple[int, ...]
 
@@ -501,16 +494,14 @@ def mesh_intersection(elements, mesh: Mesh) -> MeshIntersection:
     return MeshIntersection(len(members), members)
 
 
-@record
-class MeshBoundRecord:
+class MeshBoundRecord(Record):
     k: int
     count: int
     quarter_bound: float
     passed: bool
 
 
-@record
-class MeshBoundReport:
+class MeshBoundReport(Record):
     nu: int
     expected_count: int
     records: tuple[MeshBoundRecord, ...]
@@ -566,8 +557,7 @@ def sidon_union_bound(k: int) -> float:
     return 3.0 * math.sqrt(3.0) * k * math.sqrt(2.0 * k - 1.0)
 
 
-@record
-class SidonEstimate:
+class SidonEstimate(Record):
     """Certified lower bound for the Sidon constant of a finite set.
 
     ``grid_ratio`` is the best observed sum |c| / (grid max); the certified

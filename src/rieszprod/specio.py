@@ -32,15 +32,14 @@ from .core import (
     REGIMES,
     CoefficientSequence,
     FrequencySequence,
+    Record,
     RieszSpec,
     ValidationError,
     randomize_phases,
-    record,
 )
 
 
-@record
-class Diagnostic:
+class Diagnostic(Record):
     path: str
     message: str
 

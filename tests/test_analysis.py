@@ -624,6 +624,14 @@ def test_holder_transfer_constants_match_per_pair_and_per_n_references():
                           / spec.freqs.values[n] ** (1.0 - beta) for n in n_range)
 
 
+@pytest.mark.parametrize("empty", ["n_range", "t_grid", "s_grid"])
+def test_holder_transfer_names_an_empty_argument(empty):
+    args = {"n_range": range(2, 5), "t_grid": [0.0, 1.0], "s_grid": [0.25], empty: []}
+    with pytest.raises(ValidationError, match=f"^{empty} is empty$") as raised:
+        holder_transfer_check(geometric_spec(4, 7, r=0.5), 0.8, depth=5, **args)
+    assert raised.value.condition == empty
+
+
 def test_holder_transfer_requires_strict_lacunarity():
     triadic = geometric_spec(3, 6, r=0.5)
     with pytest.raises(RegimeError):

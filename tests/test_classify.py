@@ -6,11 +6,13 @@ computed directly from the running sums.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from rieszprod import (
+    CapError,
     CoefficientSequence,
     FrequencySequence,
     RieszSpec,
@@ -20,6 +22,7 @@ from rieszprod import (
     centered_series_partial_sums,
     classify_pair,
     disc_metric_distance,
+    eval_partial_product,
     series_gap_l2,
     series_gap_weighted,
 )
@@ -298,7 +301,7 @@ def test_centered_series_separate_at_common_point_for_singular_pairs():
     # partial sums differ by exactly half the inner-product trace, which
     # grows without stalling
     rng = np.random.default_rng(19)
-    count = 64
+    count = 25  # the most base-4 frequencies with phases lambda_j*t below 2^52 for t < 2pi
     freqs = FrequencySequence.geometric(4, count)
     for trial in range(10):
         phases = rng.uniform(0, TWO_PI, count)
@@ -324,3 +327,33 @@ def test_centered_series_partial_sums_shape():
     assert sums.shape == (8,)
     explicit = sum(0.1 * (np.exp(1j * 4 ** j * 0.7) - 0.25) for j in range(8))
     assert abs(sums[-1] - explicit) < 1e-12
+
+
+def test_centered_series_refuses_phases_that_eval_refuses():
+    spec = spec_over(FrequencySequence((1, 10 ** 20)), [0.5, 0.5])
+    refusal = f"factor 1 has lambda_j = {10 ** 20} and max |t| = 1.0"
+    with pytest.raises(CapError, match=re.escape(refusal)):
+        centered_series_partial_sums(spec, [0.1, 0.1], 1.0)
+    with pytest.raises(CapError):
+        eval_partial_product(spec, 1, 1.0)
+    assert centered_series_partial_sums(spec, [0.1], 1.0).shape == (1,)  # lambda_0 * t is fine
+
+
+def test_centered_series_refuses_frequencies_beyond_float64():
+    spec = spec_over(FrequencySequence((1, 10 ** 400)), [0.5, 0.5])
+    refusal = f"factor 1 has lambda_j = {10 ** 400} and max |t| = 0.0"
+    with pytest.raises(CapError, match=re.escape(refusal)):
+        centered_series_partial_sums(spec, [0.1, 0.1], 0.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_centered_series_rejects_a_non_finite_point(t):
+    spec = spec_over(FrequencySequence.geometric(4, 3), [0.5] * 3)
+    with pytest.raises(ValidationError, match="points must be finite"):
+        centered_series_partial_sums(spec, [0.1], t)
+
+
+def test_centered_series_rejects_more_terms_than_frequencies():
+    spec = spec_over(FrequencySequence.geometric(4, 3), [0.5] * 3)
+    with pytest.raises(ValidationError, match="c has 4 terms but the spec only 3 frequencies"):
+        centered_series_partial_sums(spec, [0.1] * 4, 0.5)

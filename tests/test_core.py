@@ -37,7 +37,7 @@ from rieszprod import (
     validate_spec,
 )
 from rieszprod import analysis, classify, cli, core, qi, specio
-from rieszprod.core import _representation, record, replace
+from rieszprod.core import Record, _representation, replace
 
 TWO_PI = 2 * math.pi
 
@@ -737,9 +737,10 @@ def package_classes():
 
 
 def test_every_record_class_has_an_example_and_no_dataclass_remains():
-    records = {cls for cls in package_classes()
-               if cls is not core._Record and vars(cls).get("__eq__") is core._Record.__eq__}
+    records = {cls for cls in package_classes() if cls is not Record and issubclass(cls, Record)}
     assert records == set(RECORD_EXAMPLES) and len(records) == 24
+    methods = ("__init__", "__eq__", "__hash__", "__setattr__", "__delattr__", "__repr__")
+    assert not [(cls, name) for cls in records for name in methods if name in vars(cls)]
     assert not [cls for cls in package_classes() if hasattr(cls, "__dataclass_fields__")]
 
 
@@ -760,8 +761,7 @@ def test_records_are_frozen_values_of_their_class(cls):
 
 
 def test_records_of_different_classes_with_equal_fields_differ():
-    @record
-    class Twin:
+    class Twin(Record):
         path: str
         message: str
 
