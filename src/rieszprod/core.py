@@ -52,6 +52,11 @@ INT64_LIMIT = 2 ** 62
 # a float64 phase lambda*t at or above this carries no fractional digit
 PHASE_LIMIT = 2 ** 52
 
+# bits of a frequency: a geometric rule holds at most about this many terms,
+# and a sum of frequencies still has far fewer than the 4,300 digits that
+# ``str`` writes
+FREQUENCY_BITS = 4096
+
 # grid nodes, Monte Carlo samples or evaluation points one call may hold
 # (699,048 quadrature nodes at base 4 and depth 8 fit)
 GRID_BUDGET = 2 ** 21
@@ -61,6 +66,10 @@ TWO_PI = 2.0 * math.pi
 # an elementwise kernel runs in parts (``_split``) only where each part gets at
 # least this many elements; below it a thread costs more than its part saves
 SPLIT_MIN = 1 << 15
+
+# entries of e^{imt} that ``TrigPolynomial.evaluate`` forms at once (4 MB of
+# complex128): points and frequencies are taken in blocks of at most this many
+EVAL_ENTRIES = 1 << 18
 
 
 class ValidationError(ValueError):
@@ -172,6 +181,9 @@ class FrequencySequence(Record):
                 raise ValidationError(
                     f"frequencies must be strictly increasing, violated at index {j + 1}",
                     "monotonicity", j + 1)
+        if vals[-1].bit_length() > FREQUENCY_BITS:
+            raise CapError(f"frequency at index {len(vals) - 1} has {vals[-1].bit_length()} "
+                           f"bits, beyond the cap of {FREQUENCY_BITS}")
 
     @classmethod
     def geometric(cls, base: int, count: int) -> "FrequencySequence":
@@ -180,6 +192,9 @@ class FrequencySequence(Record):
             raise ValidationError(f"geometric base must be >= 2, got {base}", "base")
         if count < 1:
             raise ValidationError(f"count must be >= 1, got {count}", "count")
+        if (count - 1) * (base.bit_length() - 1) >= FREQUENCY_BITS:
+            raise CapError(f"{count} powers of a {base.bit_length()}-bit base reach beyond "
+                           f"{FREQUENCY_BITS} bits, the cap on a frequency")
         return cls(tuple(base ** j for j in range(count)))
 
     def __len__(self) -> int:
@@ -475,9 +490,10 @@ class TrigPolynomial:
         return self._freqs, self._coeffs
 
     def evaluate(self, t):
-        """sum_m c_m e^{imt}; real array/scalar when Hermitian.  Refused for
-        exact-integer frequencies, whose float64 phases m*t mean nothing, and
-        once the degree times max |t| reaches 2^52."""
+        """sum_m c_m e^{imt}; real array/scalar when Hermitian, formed in blocks
+        of at most EVAL_ENTRIES terms e^{imt}.  Refused for exact-integer
+        frequencies, whose float64 phases m*t mean nothing, and once the
+        degree times max |t| reaches 2^52."""
         if self._freqs.dtype == object:
             raise CapError(f"evaluation needs float64 phases m*t; frequencies reach "
                            f"{self.degree} >= 2^62")
@@ -486,7 +502,20 @@ class TrigPolynomial:
         if _phase_limit_reached(self.degree, reach):
             raise CapError(f"evaluation needs float64 phases m*t below 2^52; the degree "
                            f"{self.degree} times max |t| = {reach!r} is >= 2^52")
-        out = np.exp(1j * np.outer(tt, self._freqs)) @ self._coeffs
+        # equal row blocks, so that no block has one row while three fit in
+        # one: numpy sums a single row another way than several
+        width = min(self._freqs.size, EVAL_ENTRIES) or 1
+        blocks = -(-tt.size // (EVAL_ENTRIES // width))
+        bounds = [tt.size * i // blocks for i in range(blocks + 1)]
+        out = np.empty(tt.size, dtype=np.complex128)
+        for lo, hi in zip(bounds, bounds[1:]):
+            for a in range(0, max(self._freqs.size, 1), width):
+                block = np.exp(1j * np.outer(tt[lo:hi], self._freqs[a:a + width])) \
+                    @ self._coeffs[a:a + width]
+                if a:
+                    out[lo:hi] += block
+                else:  # assigned, not added to zeros: a -0.0 part keeps its sign
+                    out[lo:hi] = block
         if self._real_valued:
             out = out.real
         if np.isscalar(t) or np.ndim(t) == 0:

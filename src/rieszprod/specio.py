@@ -19,9 +19,14 @@ JSON mirrors of the same table.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
+import signal
+import struct
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +40,7 @@ from .core import (
     Record,
     RieszSpec,
     ValidationError,
+    _cpus,
     randomize_phases,
 )
 
@@ -97,6 +103,9 @@ def _check_frequencies(doc, out: list[Diagnostic]) -> FrequencySequence | None:
 
 
 def _check_rt(obj, where: str, out: list[Diagnostic]) -> bool:
+    if not isinstance(obj, dict):
+        out.append(Diagnostic(where, "must be an object"))
+        return False
     ok = True
     if not _is_num(obj.get("r")):
         out.append(Diagnostic(f"{where}.r", "must be a finite number"))
@@ -125,7 +134,7 @@ def _check_coefficients(doc, count: int | None, out: list[Diagnostic]):
     kind = kinds[0]
     if kind == "constant":
         obj = coeffs["constant"]
-        if not isinstance(obj, dict) or not _check_rt(obj, "coefficients.constant", out):
+        if not _check_rt(obj, "coefficients.constant", out):
             return None, None
         if count is None:
             return None, None
@@ -137,8 +146,7 @@ def _check_coefficients(doc, count: int | None, out: list[Diagnostic]):
             return None, None
         ok = True
         for i, obj in enumerate(entries):
-            if not isinstance(obj, dict) or not _check_rt(
-                    obj, f"coefficients.explicit[{i}]", out):
+            if not _check_rt(obj, f"coefficients.explicit[{i}]", out):
                 ok = False
         if not ok:
             return None, None
@@ -151,7 +159,7 @@ def _check_coefficients(doc, count: int | None, out: list[Diagnostic]):
             tuple(e["r"] for e in entries),
             tuple(e.get("theta", 0.0) for e in entries)), None
     obj = coeffs["random_phase"]
-    if not isinstance(obj, dict) or not _check_rt(obj, "coefficients.random_phase", out):
+    if not _check_rt(obj, "coefficients.random_phase", out):
         return None, None
     if not _is_int(obj.get("seed")):
         out.append(Diagnostic("coefficients.random_phase.seed", "must be an integer"))
@@ -221,7 +229,7 @@ def read_document(path) -> dict:
         raise SpecFileError([Diagnostic(str(path), f"unreadable file: {err}")])
     try:
         return json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # also integers past 4,300 digits, deep nesting
         raise SpecFileError([Diagnostic(str(path), f"not valid JSON: {err}")])
 
 
@@ -325,25 +333,115 @@ def _pair_cells(lower, upper, fmt: str):
     return (c[1:] if c[0] == "-" else "-" + c for c in reversed(cells)), cells
 
 
-def _rows(columns, fmt: str, cell_sep: str, row_sep: str) -> list[str]:
-    """Every row, at most CHUNK_ROWS rows to a string, each followed by row_sep;
-    no columns, no rows.  The walk goes from both ends toward the middle,
-    pairing lower rows [lo, hi) with upper rows [n - hi, n - lo), so that a
-    Hermitian table (c_{-m} = conj(c_m)) formats each mirrored cell once; the
-    middle row of an odd table stands alone."""
-    n = len(columns[0]) if columns else 0
-    half = n // 2
+def _part(columns, n: int, fmt: str, cell_sep: str, row_sep: str, lo: int, hi: int,
+          parent: int | None = None):
+    """The head and the tail of the row pairs [lo, hi): rows [lo, hi) and rows
+    [n - hi, n - lo), at most CHUNK_ROWS rows to a string, each followed by
+    row_sep.  The walk goes chunk pair by chunk pair, so that a Hermitian
+    table (c_{-m} = conj(c_m)) formats each mirrored cell once.  A forked
+    part (``parent`` the pid that forked it) stops once that process is gone."""
     head, tail = [], []  # tail holds (row_sep, text) from the end, so it is read reversed
-    for lo in range(0, half, CHUNK_ROWS):
-        hi = min(lo + CHUNK_ROWS, half)
-        lower, upper = zip(*(_pair_cells(col[lo:hi], col[n - hi:n - lo], fmt)
+    for a in range(lo, hi, CHUNK_ROWS):
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
+        b = min(a + CHUNK_ROWS, hi)
+        lower, upper = zip(*(_pair_cells(col[a:b], col[n - b:n - a], fmt)
                              for col in columns))
         tail += (row_sep, row_sep.join(map(cell_sep.join, zip(*upper))))
         head += (row_sep.join(map(cell_sep.join, zip(*lower))), row_sep)
+    return head, tail[::-1]
+
+
+def _fork(walk, lo: int, hi: int):
+    """``walk(lo, hi)`` in a forked process that sends its head and tail back
+    through a pipe (their two lengths, then the two texts in UTF-8; text that
+    UTF-8 cannot hold fails the part) and leaves by ``os._exit``; (pid, read
+    end), or None when no process could be started."""
+    parent = os.getpid()
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:
+        os.close(read)
+        head, tail = ("".join(text).encode() for text in walk(lo, hi, parent=parent))
+        with open(write, "wb") as pipe:
+            pipe.write(struct.pack("<QQ", len(head), len(tail)))
+            pipe.write(head)
+            pipe.write(tail)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _collect(pid: int, read: int):
+    """The head and tail that the forked part ``pid`` sent, or None when it
+    failed or died; the process is killed when it did not finish, and reaped."""
+    texts = None
+    try:
+        with open(read, "rb") as pipe:
+            sizes = pipe.read(16)
+            if len(sizes) == 16:
+                sizes = struct.unpack("<QQ", sizes)
+                texts = [pipe.read(size) for size in sizes]
+                if tuple(map(len, texts)) != sizes:
+                    texts = None
+    finally:
+        if texts is None:
+            os.kill(pid, signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+    if texts is None or status != 0:
+        return None
+    return [[text.decode()] for text in texts]
+
+
+PART_ROWS = 1 << 12  # row pairs a forked part must hold to outrun the fork
+
+
+def _rows(columns, fmt: str, cell_sep: str, row_sep: str) -> list[str]:
+    """Every row, each followed by row_sep; no columns, no rows.  The row
+    pairs [0, n // 2) are cut into one contiguous part per CPU of ``_cpus``
+    while each holds at least PART_ROWS pairs; part 0 is walked here, every
+    other part in a forked process (or here, when that process cannot start
+    or fails), and the text is heads 0..P-1, the middle row of an odd table,
+    tails P-1..0.  No process is forked without ``os.fork``, or while
+    another thread runs: a fork copies its locks but not the thread."""
+    n = len(columns[0]) if columns else 0
+    half = n // 2
+    parts = max(1, min(_cpus(), half // PART_ROWS))
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        parts = 1
+    bounds = [half * i // parts for i in range(parts + 1)]
+    walk = functools.partial(_part, columns, n, fmt, cell_sep, row_sep)
+    started = {}
+    try:
+        for i in range(1, parts):
+            started[i] = _fork(walk, bounds[i], bounds[i + 1])
+        texts = [walk(bounds[0], bounds[1])]
+        for i in range(1, parts):
+            forked = started.pop(i)
+            texts.append(forked and _collect(*forked) or walk(bounds[i], bounds[i + 1]))
+    finally:
+        for forked in filter(None, started.values()):  # the caller's own walk raised
+            os.kill(forked[0], signal.SIGKILL)
+            os.close(forked[1])
+            os.waitpid(forked[0], 0)
+    middle = []
     if n % 2:
-        head += (cell_sep.join(next(_cells(col[half:half + 1], fmt)) for col in columns),
-                 row_sep)
-    return head + tail[::-1]
+        middle = [cell_sep.join(next(_cells(col[half:half + 1], fmt)) for col in columns),
+                  row_sep]
+    return [*(piece for head, _ in texts for piece in head), *middle,
+            *(piece for _, tail in reversed(texts) for piece in tail)]
 
 
 def render(fmt: str, header, columns, config) -> list[str]:

@@ -1,7 +1,9 @@
 """CLI behavior: exit codes, determinism, report structure."""
 
 import argparse
+import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -16,8 +18,9 @@ from hypothesis import strategies as st
 import rieszprod
 from rieszprod import cli
 from rieszprod.cli import COMMANDS, build_parser, main
-from rieszprod.core import GRID_BUDGET
+from rieszprod.core import GRID_BUDGET, CapError
 from rieszprod.qi import MESH_GENERATOR_CAP
+from rieszprod.specio import validate_document
 
 GOOD_SPEC = {
     "frequencies": {"rule": "geometric", "base": 4, "count": 7},
@@ -676,6 +679,75 @@ def test_command_table_matches_parser():
     assert keys == set(COMMANDS)
 
 
+WRONG = st.sampled_from([None, True, "3", [], {}, 0, -1, 2.5, math.nan, math.inf, 4097,
+                         10 ** 30])
+MODULUS = st.sampled_from([0.0, 0.25, 0.5, 0.9, 1, 1.0])
+RT = st.fixed_dictionaries({"r": MODULUS}, optional={
+    "theta": st.sampled_from([0, 0.0, 0.3, -2.0, 7.5, 1e300])})
+
+
+def _places(node):
+    """(container, key) of every value inside a document."""
+    for key in (range(len(node)) if isinstance(node, list) else node):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _places(node[key])
+
+
+@st.composite
+def spec_documents(draw):
+    """A document of the schema in the specio docstring (every rule,
+    coefficient kind and regime, at most 8 frequencies; half of them valid),
+    or one with a value or two replaced by a wrong one or dropped, or
+    something else in its place."""
+    regime = draw(st.sampled_from([None, "lacunary3", "dyadic"]))
+    base = draw(st.sampled_from([2, 2, 2, 3] if regime == "dyadic" else [2, 3, 4, 5]))
+    count = draw(st.integers(1, 8))
+    doc = {"frequencies": draw(st.sampled_from([
+               {"rule": "geometric", "base": base, "count": count},
+               {"rule": "explicit", "values": [base ** j for j in range(count)]}])),
+           "coefficients": draw(st.one_of(
+               st.fixed_dictionaries({"constant": RT}),
+               st.fixed_dictionaries({"explicit": st.lists(RT, min_size=count,
+                                                           max_size=count)}),
+               st.fixed_dictionaries({"random_phase": st.fixed_dictionaries(
+                   {"r": MODULUS, "seed": st.integers(0, 2 ** 70)})})))}
+    if regime is not None:
+        doc["regime"] = regime
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        node, key = draw(st.sampled_from(list(_places(doc))))
+        action = draw(st.sampled_from(["replace", "drop", "whole"]))
+        if action == "whole":
+            return draw(WRONG)
+        if action == "drop":
+            del node[key]
+        else:
+            node[key] = draw(WRONG | st.sampled_from(["fibonacci", "Dyadic", "constant"]))
+    return doc
+
+
+def test_spec_documents_reach_every_rule_kind_and_regime():
+    """The generator yields valid documents of every rule, coefficient kind
+    and regime, so the fuzzed command lines reach the commands, not only
+    the diagnostics."""
+    seen = set()
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(spec_documents())
+    def record(doc):
+        try:
+            if isinstance(doc, dict) and validate_document(doc) == []:
+                seen.add((doc["frequencies"]["rule"], *doc["coefficients"],
+                          doc.get("regime", "lacunary3")))
+        except CapError:  # a geometric rule beyond FREQUENCY_BITS
+            pass
+
+    record()
+    assert seen == set(itertools.product(["geometric", "explicit"],
+                                         ["constant", "explicit", "random_phase"],
+                                         ["lacunary3", "dyadic"]))
+
+
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
     """Value strategies for the file options of the command line."""
@@ -691,7 +763,16 @@ def fuzz_files(tmp_path_factory):
             "bad": {"frequencies": {"rule": "explicit", "values": [1, 2]},
                     "coefficients": {"constant": {"r": 1.5}}}}
     specs = [put(f"{name}.json", json.dumps(doc)) for name, doc in docs.items()]
-    specs = st.sampled_from(specs + [str(root / "missing.json")])
+
+    def put_document(doc):
+        text = json.dumps(doc)
+        return put(hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] + ".json", text)
+
+    unreadable = [put("broken.json", "{"), put("deep.json", "[" * 100_000),
+                  put("long_integer.json", '{"frequencies": {"rule": "explicit", "values": '
+                                           '[1, ' + "9" * 5000 + "]}}")]
+    specs = st.sampled_from(specs + unreadable + [str(root / "missing.json")]) \
+        | spec_documents().map(put_document)
     return {
         "spec": specs, "spec_a": specs, "spec_b": specs,
         "tails": st.sampled_from([put("tails.json", json.dumps({"l2_gap": "divergent"})),

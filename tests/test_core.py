@@ -296,6 +296,53 @@ def test_evaluate_refuses_phases_reaching_2_52():
         poly.evaluate(math.nan)
 
 
+def test_frequencies_beyond_frequency_bits_are_refused():
+    assert FrequencySequence.geometric(2, core.FREQUENCY_BITS).values[-1] \
+        == 2 ** (core.FREQUENCY_BITS - 1)
+    for base, count in [(2, core.FREQUENCY_BITS + 1), (4, 10 ** 30), (10 ** 1000, 5)]:
+        with pytest.raises(CapError, match="the cap on a frequency"):
+            FrequencySequence.geometric(base, count)  # refused before any power is formed
+    with pytest.raises(CapError, match=f"index 1 has {core.FREQUENCY_BITS + 1} bits"):
+        FrequencySequence((1, 2 ** core.FREQUENCY_BITS))
+
+
+def test_evaluate_forms_its_terms_in_blocks():
+    """3^9 terms at 100 points: 2 million terms e^{imt} (31 MB of complex128
+    at once); in blocks the peak stays below four blocks' worth."""
+    spec = randomize_phases(RieszSpec(FrequencySequence.geometric(3, 10),
+                                      CoefficientSequence.constant(0.7, 0.0, 10)), 3)
+    poly = expand_partial_product(spec, 8)
+    ts = np.linspace(0.0, TWO_PI, 100)
+    tracemalloc.start()
+    try:
+        values = poly.evaluate(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(poly.arrays()[0]) * ts.size > 7 * core.EVAL_ENTRIES
+    assert peak < 4 * 16 * core.EVAL_ENTRIES
+    direct = eval_partial_product(spec, 8, ts)
+    assert np.max(np.abs(values - direct)) < 1e-9 * max(1.0, float(np.max(np.abs(direct))))
+
+
+@pytest.mark.parametrize("entries", [1, 3, 64, 129, 200])
+@pytest.mark.parametrize("points", [1, 2, 3, 5, 33])
+def test_evaluate_in_blocks_matches_one_product(monkeypatch, entries, points):
+    """Row blocks keep every value bit for bit while three rows fit in one;
+    column blocks (more terms than EVAL_ENTRIES) sum the same terms."""
+    rng = np.random.default_rng(entries * 100 + points)
+    freqs = np.unique(rng.integers(-10 ** 6, 10 ** 6, 60))
+    cs = rng.standard_normal(freqs.size) + 1j * rng.standard_normal(freqs.size)
+    poly = TrigPolynomial(dict(zip(freqs.tolist(), cs.tolist())))
+    ts = rng.uniform(-3.0, 3.0, points)
+    whole = np.exp(1j * np.outer(ts, freqs)) @ cs
+    monkeypatch.setattr(core, "EVAL_ENTRIES", entries)
+    blocked = poly.evaluate(ts)
+    if entries >= 3 * freqs.size:
+        assert np.array_equal(blocked.view(np.int64), whole.view(np.int64))
+    assert np.allclose(blocked, whole, rtol=1e-12, atol=1e-10)
+
+
 def test_hermitian_symmetry_exact():
     rng = np.random.default_rng(13)
     spec = random_spec(rng, count=6)

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import signal
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -123,9 +127,24 @@ def test_unreadable_and_malformed_files(tmp_path):
     with pytest.raises(SpecFileError):
         load_spec(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
-    with pytest.raises(SpecFileError):
-        schema_validate(bad)
+    for text in ("{not json", "[" * 100_000, '{"frequencies": {"rule": "explicit", "values": [1, '
+                 + "9" * 5000 + "]}}"):  # deep nesting, an integer past 4,300 digits
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(SpecFileError, match="not valid JSON"):
+            schema_validate(bad)
+
+
+@pytest.mark.parametrize("coefficients, path", [
+    ({"constant": None}, "coefficients.constant"),
+    ({"explicit": [{"r": 0.5}, None]}, "coefficients.explicit[1]"),
+    ({"random_phase": 3}, "coefficients.random_phase"),
+])
+def test_coefficients_that_are_not_objects_have_a_diagnostic(coefficients, path):
+    doc = {"frequencies": {"rule": "geometric", "base": 4, "count": 2},
+           "coefficients": coefficients}
+    assert validate_document(doc) == [specio.Diagnostic(path, "must be an object")]
+    with pytest.raises(SpecFileError, match="must be an object"):
+        specio.spec_from_document(doc)
 
 
 def test_load_tails(tmp_path):
@@ -256,19 +275,27 @@ def tables(draw):
     return chunk, header, columns, rows
 
 
+def forced_parts(cpus: int):
+    """Patches under which every table of two or more rows is cut into up
+    to ``cpus`` parts, each part after the first in a forked process."""
+    return mock.patch.multiple(specio, PART_ROWS=1, _cpus=lambda: cpus)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(tables(), st.dictionaries(st.sampled_from(["seed", "out", "x"]),
-                                 st.one_of(st.integers(), TEXT), max_size=2))
-def test_column_renderer_matches_row_renderer(table, config):
+                                 st.one_of(st.integers(), TEXT), max_size=2),
+       st.integers(2, 4))
+def test_column_renderer_matches_row_renderer(table, config, cpus):
+    """In one part, and cut into up to ``cpus`` parts of forked processes."""
     chunk, header, columns, rows = table
     with mock.patch.object(specio, "CHUNK_ROWS", chunk):
-        csv_text = "".join(render("csv", header, columns, config))
-        json_text = "".join(render("json", header, columns, config))
-    assert csv_text.encode("utf-8") == row_csv(header, rows, config).encode("utf-8")
-    assert json_text.encode("utf-8") == row_json(header, rows, config).encode("utf-8")
-    if not rows:  # an empty table may also come as no columns at all
-        assert "".join(render("csv", header, [], config)) == csv_text
-        assert "".join(render("json", header, [], config)) == json_text
+        for fmt, reference in (("csv", row_csv), ("json", row_json)):
+            expected = reference(header, rows, config).encode("utf-8")
+            assert "".join(render(fmt, header, columns, config)).encode("utf-8") == expected
+            with forced_parts(cpus):
+                assert "".join(render(fmt, header, columns, config)).encode("utf-8") == expected
+            if not rows:  # an empty table may also come as no columns at all
+                assert "".join(render(fmt, header, [], config)).encode("utf-8") == expected
 
 
 @pytest.mark.parametrize("fmt, reference", [("csv", row_csv), ("json", row_json)])
@@ -289,14 +316,17 @@ def test_write_report_at_chunk_boundaries(tmp_path, fmt, reference, n):
 @pytest.mark.parametrize("fmt, reference", [("csv", row_csv), ("json", row_json)])
 def test_write_report_of_a_real_expansion(tmp_path, fmt, reference):
     """A Hermitian table of 3^10 rows, more than one chunk pair at the real
-    CHUNK_ROWS, with an odd middle row."""
+    CHUNK_ROWS, with an odd middle row, in two parts: one forked."""
     spec = randomize_phases(RieszSpec(FrequencySequence.geometric(3, 11),
                                       CoefficientSequence.constant(0.7, 0.0, 11)), 11)
     ms, cs = expand_partial_product(spec, 9).arrays()
     assert ms.size == 3 ** 10 > 2 * CHUNK_ROWS
     path = tmp_path / f"report.{fmt}"
-    text = write_report(path, fmt, ["frequency", "re", "im"], [ms, cs.real, cs.imag],
-                        {"depth": 9})
+    with mock.patch.object(specio, "_cpus", lambda: 2), \
+            mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        text = write_report(path, fmt, ["frequency", "re", "im"], [ms, cs.real, cs.imag],
+                            {"depth": 9})
+    assert fork.call_count == 1
     assert path.read_bytes() == text.encode("utf-8")
     rows = list(zip(ms.tolist(), cs.real.tolist(), cs.imag.tolist()))
     assert text == reference(["frequency", "re", "im"], rows, {"depth": 9})
@@ -326,7 +356,135 @@ def test_constant_looking_chunks_format_like_each_cell(fmt, reference, column):
 
 def test_a_constant_chunk_is_formatted_once():
     n = 2 * CHUNK_ROWS + 1  # one chunk pair and the middle row
-    with mock.patch.object(specio, "_cell", wraps=specio._cell) as cell:
+    # in one part: a forked part's calls are not counted here
+    with mock.patch.object(specio, "_cell", wraps=specio._cell) as cell, \
+            mock.patch.object(specio, "_cpus", lambda: 1):
         text = "".join(render("csv", ["v"], [[VERDICT] * n], {}))
     assert cell.call_count == 3
     assert text.splitlines()[2:] == [VERDICT] * n
+
+
+# forked parts: every process is reaped, and a failed part is formatted here
+
+PART_TABLE = [np.arange(-40, 41, dtype=np.int64), np.linspace(-1.0, 1.0, 81),
+              [VERDICT, "a, \"b\""] * 40 + [VERDICT]]
+
+
+def render_part_table(cpus: int = 3) -> str:
+    with forced_parts(cpus):
+        return "".join(render("csv", ["m", "x", "v"], PART_TABLE, {}))
+
+
+def one_part_text() -> str:
+    with mock.patch.object(specio, "_cpus", lambda: 1):
+        return "".join(render("csv", ["m", "x", "v"], PART_TABLE, {}))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_render_leaves_no_process():
+    with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        assert render_part_table() == one_part_text()
+    assert fork.call_count == 2
+    assert_no_child_left()
+
+
+def in_forked_parts(action):
+    """``specio._part`` that runs ``action`` first in a forked part, and
+    returns what it returns, if anything, in place of the walk."""
+    walk = specio._part
+
+    def part(*args, parent=None):
+        return (parent is not None and action()) or walk(*args, parent)
+    return mock.patch.object(specio, "_part", part)
+
+
+def send_wrong_text_then_exit_1():
+    leave = os._exit
+    os._exit = lambda status: leave(1)  # in the forked part only
+    return ["wrong\n"], ["text\n"]
+
+
+@pytest.mark.parametrize("action", [
+    lambda: os._exit(1),
+    lambda: os.kill(os.getpid(), signal.SIGKILL),
+    lambda: os._exit(0),  # leaves without sending anything
+    send_wrong_text_then_exit_1,
+], ids=["exit 1", "SIGKILL", "silent exit 0", "text sent, then exit 1"])
+def test_a_failed_part_is_formatted_here(action):
+    with in_forked_parts(action), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        text = render_part_table()
+    assert fork.call_count == 2
+    assert text.encode("utf-8") == one_part_text().encode("utf-8")
+    assert_no_child_left()
+
+
+def test_text_that_utf8_cannot_hold_is_formatted_here():
+    column = ["\ud800, x"] * 9  # a lone surrogate fails a forked part's UTF-8 encoding
+    with forced_parts(2):
+        text = "".join(render("csv", ["c"], [column], {}))
+    assert text == row_csv(["c"], [[v] for v in column], {})
+    assert_no_child_left()
+
+
+def test_an_error_in_the_callers_part_kills_and_reaps_the_forked_parts():
+    walk = specio._part
+
+    def part(*args, parent=None):
+        if parent is not None:  # a forked part outlives the test unless killed
+            time.sleep(30)
+            return walk(*args, parent)
+        raise RuntimeError("caller's part")
+
+    start = time.perf_counter()
+    with mock.patch.object(specio, "_part", part), \
+            mock.patch.object(os, "fork", wraps=os.fork) as fork, \
+            pytest.raises(RuntimeError, match="caller's part"):
+        render_part_table()
+    assert fork.call_count == 2
+    assert time.perf_counter() - start < 10
+    assert_no_child_left()
+
+
+def test_a_forked_part_stops_once_its_parent_is_gone():
+    with mock.patch.object(os, "_exit", side_effect=SystemExit) as leave, \
+            pytest.raises(SystemExit):
+        specio._part(PART_TABLE, 81, "csv", ",", "\n", 0, 40, os.getppid() + 1)
+    leave.assert_called_once_with(1)
+    head, tail = specio._part(PART_TABLE, 81, "csv", ",", "\n", 0, 40, os.getppid())
+    assert "".join(head + tail) == one_part_text().split("\n", 2)[2].replace(
+        "0,0.0,convergent\n", "")
+
+
+def test_no_fork_without_os_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert render_part_table() == one_part_text()
+
+
+def test_no_fork_on_one_cpu():
+    with mock.patch.object(os, "fork") as fork:
+        assert render_part_table(cpus=1) == one_part_text()
+    fork.assert_not_called()
+
+
+def test_no_fork_while_another_thread_runs():
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        with mock.patch.object(os, "fork") as fork:
+            assert render_part_table() == one_part_text()
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    fork.assert_not_called()
+
+
+def test_a_failed_fork_leaves_its_part_here():
+    with mock.patch.object(os, "fork", side_effect=OSError("no process")) as fork:
+        assert render_part_table() == one_part_text()
+    assert fork.call_count == 2
