@@ -41,8 +41,8 @@ from .core import (
     spectrum_bands,
 )
 from .specio import (
-    Diagnostic,
     SpecFileError,
+    load_elements,
     load_spec,
     load_tails,
     schema_validate,
@@ -326,27 +326,6 @@ def _qi_lambda(args) -> Report:
         for ell in range(*block)])))
 
 
-def _read_elements_csv(path) -> list[int]:
-    """Set elements from a CSV: the last column of each row.  Blank lines and
-    '#' lines are skipped; only the first other line may be a header."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [(number, ln.strip()) for number, ln in enumerate(fh, 1)
-                     if ln.strip() and not ln.startswith("#")]
-    except OSError as err:
-        raise SpecFileError([Diagnostic(str(path), f"unreadable file: {err}")])
-    values = []
-    for i, (number, ln) in enumerate(lines):
-        try:
-            values.append(int(ln.split(",")[-1]))
-        except ValueError:
-            if i:  # rows after the header
-                raise SpecFileError([Diagnostic(f"{path}:{number}", f"not an integer: {ln!r}")])
-    if not values:
-        raise SpecFileError([Diagnostic(str(path), "no element rows")])
-    return values
-
-
 def _mesh_count(args) -> Report:
     gens = qi.build_dissociated_base(args.block).block(args.block)
     k = len(gens) if args.k is None else args.k
@@ -354,7 +333,7 @@ def _mesh_count(args) -> Report:
         raise ValidationError(f"--k must be >= the block size {len(gens)}", "arguments")
     if k > qi.MESH_GENERATOR_CAP:
         raise CapError(f"mesh padded to k={k} generators; the cap is {qi.MESH_GENERATOR_CAP}")
-    elements = _read_elements_csv(args.lambda_csv)
+    elements = load_elements(args.lambda_csv)
     result = qi.mesh_intersection(elements, qi.Mesh.padded_unit_box(gens, k, elements))
     print(f"count: {result.count}")
     return Report(["member"], [result.members], {"count": result.count})

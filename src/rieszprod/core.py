@@ -498,7 +498,7 @@ class TrigPolynomial:
             raise CapError(f"evaluation needs float64 phases m*t; frequencies reach "
                            f"{self.degree} >= 2^62")
         tt = np.atleast_1d(np.asarray(t, dtype=float))
-        reach = float(np.max(np.abs(tt), initial=0.0))
+        reach = _reach(tt)
         if _phase_limit_reached(self.degree, reach):
             raise CapError(f"evaluation needs float64 phases m*t below 2^52; the degree "
                            f"{self.degree} times max |t| = {reach!r} is >= 2^52")
@@ -558,6 +558,11 @@ def _support_bound(spec: RieszSpec, depth: int) -> int:
     every frequency of the depth expansion lies within it."""
     return sum(lam for lam, r in zip(spec.freqs.values[: depth + 1], spec.coeffs.moduli)
                if r > 0.0)
+
+
+def _reach(t: np.ndarray) -> float:
+    """max |t| (0.0 for no points) from two reductions, without a full-size |t|."""
+    return float(np.max(np.abs((t.min(initial=0.0), t.max(initial=0.0)))))
 
 
 def _phase_limit_reached(bound: int, reach: float) -> bool:
@@ -678,21 +683,23 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _parts(size: int, least: int) -> list[int]:
+    """The bounds of one contiguous part of [0, size) per CPU of ``_cpus``
+    while each part holds at least ``least`` elements: part i is
+    [bounds[i], bounds[i + 1]), and there is always one part."""
+    parts = max(1, min(_cpus(), size // least))
+    return [size * i // parts for i in range(parts + 1)]
+
+
 def _split(kernel, *arrays) -> None:
-    """``kernel`` on contiguous parts of ``arrays`` (all of one length), one
-    part per CPU of ``_cpus`` while each part holds at least SPLIT_MIN
-    elements, the first part here and each other one in a thread of its own
-    (numpy's elementwise loops release the GIL).  The kernel must be
-    elementwise and allocate nothing large: each value then depends on its
-    position only, never on the parts.  An exception in a part is re-raised
-    here once every part has ended."""
-    size = len(arrays[0])
-    parts = max(1, min(_cpus(), size // SPLIT_MIN))
-    if parts == 1:
-        kernel(*arrays)
-        return
-    bounds = [size * i // parts for i in range(parts + 1)]
-    errors = [None] * parts
+    """``kernel`` on the ``_parts`` of ``arrays`` (all of one length) that
+    hold at least SPLIT_MIN elements, the first part here and each other one
+    in a thread of its own (numpy's elementwise loops release the GIL).  The
+    kernel must be elementwise and allocate nothing large: each value then
+    depends on its position only, never on the parts.  An exception in a
+    part is re-raised here once every part has ended."""
+    bounds = _parts(len(arrays[0]), SPLIT_MIN)
+    errors = [None] * (len(bounds) - 1)
 
     def run(i):
         try:
@@ -701,7 +708,7 @@ def _split(kernel, *arrays) -> None:
             errors[i] = err
 
     started = []
-    for i in range(1, parts):
+    for i in range(1, len(errors)):
         thread = threading.Thread(target=run, args=(i,))
         try:
             thread.start()
@@ -732,11 +739,11 @@ def _partial_products(spec: RieszSpec, t: np.ndarray, out: np.ndarray, ns):
     skipped) whose segments run in place through ``_split``, each part forming
     its factors in its part of one scratch array.  Bad n, non-finite points and
     phases lambda_j*t >= 2^52 through max(ns) are refused before any factor
-    runs; max |t| comes from two reductions, without a full-size |t|."""
+    runs."""
     ns = sorted(set(ns))
     for n in ns:
         _check_depth(spec, n, "n")
-    reach = float(np.max(np.abs((t.min(initial=0.0), t.max(initial=0.0)))))
+    reach = _reach(t)
     active = [j for j in range(max(ns, default=-1) + 1) if spec.coeffs.moduli[j] != 0.0]
     _refuse_factor_phases(spec, active, reach)
 

@@ -24,7 +24,6 @@ import json
 import math
 import os
 import signal
-import struct
 import sys
 import threading
 from pathlib import Path
@@ -40,7 +39,7 @@ from .core import (
     Record,
     RieszSpec,
     ValidationError,
-    _cpus,
+    _parts,
     randomize_phases,
 )
 
@@ -222,11 +221,16 @@ def spec_from_document(doc) -> RieszSpec:
     return spec if seed is None else randomize_phases(spec, seed)
 
 
-def read_document(path) -> dict:
+def _read_text(path) -> str:
+    """The file's text; an unreadable or non-UTF-8 file is a diagnostic naming it."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         raise SpecFileError([Diagnostic(str(path), f"unreadable file: {err}")])
+
+
+def read_document(path) -> dict:
+    text = _read_text(path)
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as err:  # also integers past 4,300 digits, deep nesting
@@ -255,6 +259,23 @@ def load_tails(path) -> TailDeclarations:
     if diagnostics:
         raise SpecFileError(diagnostics)
     return TailDeclarations(**doc)
+
+
+def load_elements(path) -> list[int]:
+    """Set elements from a CSV: the last column of each row.  Blank lines and
+    '#' lines are skipped; only the first other line may be a header."""
+    lines = [(number, ln.strip()) for number, ln in enumerate(_read_text(path).split("\n"), 1)
+             if ln.strip() and not ln.startswith("#")]
+    values = []
+    for i, (number, ln) in enumerate(lines):
+        try:
+            values.append(int(ln.split(",")[-1]))
+        except ValueError:
+            if i:  # rows after the header
+                raise SpecFileError([Diagnostic(f"{path}:{number}", f"not an integer: {ln!r}")])
+    if not values:
+        raise SpecFileError([Diagnostic(str(path), "no element rows")])
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +374,10 @@ def _part(columns, n: int, fmt: str, cell_sep: str, row_sep: str, lo: int, hi: i
 
 
 def _fork(walk, lo: int, hi: int):
-    """``walk(lo, hi)`` in a forked process that sends its head and tail back
-    through a pipe (their two lengths, then the two texts in UTF-8; text that
-    UTF-8 cannot hold fails the part) and leaves by ``os._exit``; (pid, read
-    end), or None when no process could be started."""
+    """``walk(lo, hi)`` in a forked process that sends one frame through a pipe
+    (the head's length in 8 bytes, then head and tail in UTF-8; text that UTF-8
+    cannot hold fails the part) and leaves by ``os._exit``; (pid, read end),
+    or None when no process could be started."""
     parent = os.getpid()
     try:
         read, write = os.pipe()
@@ -376,33 +397,28 @@ def _fork(walk, lo: int, hi: int):
         os.close(read)
         head, tail = ("".join(text).encode() for text in walk(lo, hi, parent=parent))
         with open(write, "wb") as pipe:
-            pipe.write(struct.pack("<QQ", len(head), len(tail)))
-            pipe.write(head)
-            pipe.write(tail)
+            pipe.writelines((len(head).to_bytes(8, "little"), head, tail))
         status = 0
     finally:
         os._exit(status)
 
 
-def _collect(pid: int, read: int):
-    """The head and tail that the forked part ``pid`` sent, or None when it
-    failed or died; the process is killed when it did not finish, and reaped."""
-    texts = None
+def _collect(pid: int, read: int, kill: bool = False):
+    """The head and tail that the forked part ``pid`` sent, or None unless it
+    exited 0.  Its pipe is read to the end, or with ``kill`` not at all and
+    the process killed, as it is when the reading fails; it is then reaped."""
+    frame = None
     try:
         with open(read, "rb") as pipe:
-            sizes = pipe.read(16)
-            if len(sizes) == 16:
-                sizes = struct.unpack("<QQ", sizes)
-                texts = [pipe.read(size) for size in sizes]
-                if tuple(map(len, texts)) != sizes:
-                    texts = None
+            frame = None if kill else pipe.read()
     finally:
-        if texts is None:
+        if frame is None:
             os.kill(pid, signal.SIGKILL)
         _, status = os.waitpid(pid, 0)
-    if texts is None or status != 0:
+    if kill or status != 0 or len(frame) < 8:  # a part that exited 0 sent its whole frame
         return None
-    return [[text.decode()] for text in texts]
+    view, size = memoryview(frame), int.from_bytes(frame[:8], "little")
+    return [[str(view[8:8 + size], "utf-8")], [str(view[8 + size:], "utf-8")]]
 
 
 PART_ROWS = 1 << 12  # row pairs a forked part must hold to outrun the fork
@@ -410,32 +426,28 @@ PART_ROWS = 1 << 12  # row pairs a forked part must hold to outrun the fork
 
 def _rows(columns, fmt: str, cell_sep: str, row_sep: str) -> list[str]:
     """Every row, each followed by row_sep; no columns, no rows.  The row
-    pairs [0, n // 2) are cut into one contiguous part per CPU of ``_cpus``
-    while each holds at least PART_ROWS pairs; part 0 is walked here, every
-    other part in a forked process (or here, when that process cannot start
-    or fails), and the text is heads 0..P-1, the middle row of an odd table,
-    tails P-1..0.  No process is forked without ``os.fork``, or while
-    another thread runs: a fork copies its locks but not the thread."""
+    pairs [0, n // 2) are cut into the ``core._parts`` that hold at least
+    PART_ROWS pairs; part 0 is walked here, every other part in a forked
+    process (or here, when that process cannot start or fails), and the
+    text is heads 0..P-1, the middle row of an odd table, tails P-1..0.  No
+    process is forked without ``os.fork``, or while another thread runs: a
+    fork copies its locks but not the thread."""
     n = len(columns[0]) if columns else 0
     half = n // 2
-    parts = max(1, min(_cpus(), half // PART_ROWS))
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        parts = 1
-    bounds = [half * i // parts for i in range(parts + 1)]
+    forks = hasattr(os, "fork") and threading.active_count() == 1
+    bounds = _parts(half, PART_ROWS) if forks else [0, half]
     walk = functools.partial(_part, columns, n, fmt, cell_sep, row_sep)
     started = {}
     try:
-        for i in range(1, parts):
+        for i in range(1, len(bounds) - 1):
             started[i] = _fork(walk, bounds[i], bounds[i + 1])
         texts = [walk(bounds[0], bounds[1])]
-        for i in range(1, parts):
+        for i in range(1, len(bounds) - 1):
             forked = started.pop(i)
             texts.append(forked and _collect(*forked) or walk(bounds[i], bounds[i + 1]))
     finally:
         for forked in filter(None, started.values()):  # the caller's own walk raised
-            os.kill(forked[0], signal.SIGKILL)
-            os.close(forked[1])
-            os.waitpid(forked[0], 0)
+            _collect(*forked, kill=True)
     middle = []
     if n % 2:
         middle = [cell_sep.join(next(_cells(col[half:half + 1], fmt)) for col in columns),

@@ -161,6 +161,25 @@ def test_mesh_padded_generators_keep_count(capsys, tmp_path):
     assert "count: 8" in out
 
 
+NOT_UTF8 = b'\xff{"frequencies": {}}\n'  # 0xff starts no UTF-8 sequence
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "--spec", "BAD"),
+    ("coeffs", "--depth", "2", "--spec", "BAD"),
+    ("classify", "--spec-a", "GOOD", "--spec-b", "GOOD", "--tails", "BAD"),
+    ("mesh", "count", "--block", "1", "--lambda", "BAD"),
+], ids=["validate", "coeffs", "tails", "elements"])
+def test_a_file_that_is_not_utf8_is_a_diagnostic(tmp_path, spec_path, argv):
+    bad = tmp_path / "latin.json"
+    bad.write_bytes(NOT_UTF8)
+    code, out, err = run_child(*({"BAD": str(bad), "GOOD": spec_path}.get(a, a) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"invalid: {bad}: unreadable file: 'utf-8' codec can't decode "
+                          "byte 0xff in position 0")
+    assert err.count("\n") == 1
+
+
 def test_sidon_bound_and_estimate(capsys):
     code, out, _ = run_cli(capsys, "sidon", "bound", "--k", "1")
     assert code == 0
@@ -465,6 +484,55 @@ def test_full_stdout_is_a_diagnostic(spec_path, unbuffered):
                                  env=child_env(PYTHONUNBUFFERED=unbuffered))
     assert code == 2
     assert err.startswith("invalid: [Errno 28]") and err.count("\n") == 1
+
+
+# a 3^10-term report: on two or more CPUs it is formatted in forked parts
+FORKED_SPEC = {"frequencies": {"rule": "geometric", "base": 3, "count": 11},
+               "coefficients": {"random_phase": {"r": 0.7, "seed": 11}}}
+
+
+def processes_naming(text: str) -> list[int]:
+    """The pids of the processes whose command line holds ``text``; a forked
+    part carries the command line of the riesz process that forked it."""
+    pids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as fh:
+                if text.encode() in fh.read():
+                    pids.append(int(entry))
+        except OSError:  # the process has ended
+            pass
+    return pids
+
+
+def write_forked_report(tmp_path, stdout: str) -> tuple[int, str, list[int]]:
+    """A forked 3^10-term coeffs report written to /dev/full, or into a pipe
+    closed after one byte as by ``| head -c 1``: (exit code, stderr, the
+    processes left).  stderr goes to a file, so that the child's exit, not
+    the end of every process that holds its stderr, ends the wait."""
+    path = write_spec(tmp_path, FORKED_SPEC)
+    argv = [sys.executable, "-m", "rieszprod.cli", "coeffs", "--spec", path, "--depth", "9"]
+    with open(tmp_path / "err", "wb") as err:
+        if stdout == "closed pipe":
+            proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err, env=child_env())
+            assert proc.stdout.read(1)
+            proc.stdout.close()
+        else:
+            with open(stdout, "wb") as out:
+                proc = subprocess.Popen(argv, stdout=out, stderr=err, env=child_env())
+        proc.wait(timeout=120)
+    return proc.returncode, (tmp_path / "err").read_text(), processes_naming(path)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+@pytest.mark.parametrize("stdout", ["/dev/full", "closed pipe"])
+def test_a_forked_report_that_cannot_be_written_is_a_diagnostic(tmp_path, stdout):
+    if stdout == "/dev/full" and not os.path.exists(stdout):
+        pytest.skip(f"needs {stdout}")
+    code, err, left = write_forked_report(tmp_path, stdout)
+    assert left == []
+    assert code == 2
+    assert err.startswith("invalid: [Errno ") and err.count("\n") == 1
 
 
 # every name the package exported when its __init__ imported each layer eagerly

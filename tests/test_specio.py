@@ -1,5 +1,6 @@
 """Spec file schema validation and report rendering."""
 
+import contextlib
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszprod import load_spec, schema_validate, specio
+from rieszprod import core, load_spec, schema_validate, specio
 from rieszprod.core import (
     CoefficientSequence,
     FrequencySequence,
@@ -132,6 +133,17 @@ def test_unreadable_and_malformed_files(tmp_path):
         bad.write_text(text, encoding="utf-8")
         with pytest.raises(SpecFileError, match="not valid JSON"):
             schema_validate(bad)
+
+
+def test_a_file_that_is_not_utf8_names_its_path(tmp_path):
+    bad = tmp_path / "latin.json"
+    bad.write_bytes(b"\xff\n1\n")
+    for read in (load_spec, schema_validate, load_tails, specio.load_elements):
+        with pytest.raises(SpecFileError) as info:
+            read(bad)
+        [diagnostic] = info.value.diagnostics
+        assert diagnostic.path == str(bad)
+        assert diagnostic.message.startswith("unreadable file: 'utf-8' codec can't decode")
 
 
 @pytest.mark.parametrize("coefficients, path", [
@@ -275,10 +287,13 @@ def tables(draw):
     return chunk, header, columns, rows
 
 
+@contextlib.contextmanager
 def forced_parts(cpus: int):
     """Patches under which every table of two or more rows is cut into up
     to ``cpus`` parts, each part after the first in a forked process."""
-    return mock.patch.multiple(specio, PART_ROWS=1, _cpus=lambda: cpus)
+    with mock.patch.object(specio, "PART_ROWS", 1), \
+            mock.patch.object(core, "_cpus", lambda: cpus):
+        yield
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -322,7 +337,7 @@ def test_write_report_of_a_real_expansion(tmp_path, fmt, reference):
     ms, cs = expand_partial_product(spec, 9).arrays()
     assert ms.size == 3 ** 10 > 2 * CHUNK_ROWS
     path = tmp_path / f"report.{fmt}"
-    with mock.patch.object(specio, "_cpus", lambda: 2), \
+    with mock.patch.object(core, "_cpus", lambda: 2), \
             mock.patch.object(os, "fork", wraps=os.fork) as fork:
         text = write_report(path, fmt, ["frequency", "re", "im"], [ms, cs.real, cs.imag],
                             {"depth": 9})
@@ -330,6 +345,26 @@ def test_write_report_of_a_real_expansion(tmp_path, fmt, reference):
     assert path.read_bytes() == text.encode("utf-8")
     rows = list(zip(ms.tolist(), cs.real.tolist(), cs.imag.tolist()))
     assert text == reference(["frequency", "re", "im"], rows, {"depth": 9})
+
+
+@pytest.mark.parametrize("cpus, threads, forks", [(1, 0, 0), (2, 1, 1)])
+def test_core_cpus_alone_sets_the_grid_threads_and_the_report_forks(cpus, threads, forks):
+    """One CPU count for both paths: a factor chain of 2 * SPLIT_MIN points
+    runs in ``cpus`` parts, one thread for each part after the first, and a
+    3^10-row coeffs table in ``cpus`` parts, one fork for each part after the
+    first."""
+    spec = randomize_phases(RieszSpec(FrequencySequence.geometric(3, 11),
+                                      CoefficientSequence.constant(0.7, 0.0, 11)), 11)
+    ms, cs = expand_partial_product(spec, 9).arrays()
+    ts = np.linspace(0.0, 2 * math.pi, 2 * core.SPLIT_MIN, endpoint=False)
+    with mock.patch.object(core, "_cpus", lambda: cpus), \
+            mock.patch.object(threading.Thread, "start", autospec=True,
+                              side_effect=threading.Thread.start) as start, \
+            mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        core.eval_partial_product(spec, 9, ts)
+        assert (start.call_count, fork.call_count) == (threads, 0)
+        render("csv", ["frequency", "re", "im"], [ms, cs.real, cs.imag], {})
+    assert (start.call_count, fork.call_count) == (threads, forks)
 
 
 VERDICT = "convergent"
@@ -358,7 +393,7 @@ def test_a_constant_chunk_is_formatted_once():
     n = 2 * CHUNK_ROWS + 1  # one chunk pair and the middle row
     # in one part: a forked part's calls are not counted here
     with mock.patch.object(specio, "_cell", wraps=specio._cell) as cell, \
-            mock.patch.object(specio, "_cpus", lambda: 1):
+            mock.patch.object(core, "_cpus", lambda: 1):
         text = "".join(render("csv", ["v"], [[VERDICT] * n], {}))
     assert cell.call_count == 3
     assert text.splitlines()[2:] == [VERDICT] * n
@@ -376,7 +411,7 @@ def render_part_table(cpus: int = 3) -> str:
 
 
 def one_part_text() -> str:
-    with mock.patch.object(specio, "_cpus", lambda: 1):
+    with mock.patch.object(core, "_cpus", lambda: 1):
         return "".join(render("csv", ["m", "x", "v"], PART_TABLE, {}))
 
 
