@@ -39,6 +39,7 @@ from .core import (
     _partial_products,
     _require_float_phases,
     _split,
+    _support_bound,
     convolve_products,
     expand_partial_product,
 )
@@ -352,11 +353,10 @@ def interval_upper_bound(spec: RieszSpec, N: int, J_max: int, t: float,
     total = interval_measure(spec, N, t, s)
     for j in range(N, J_max):
         nu = spec.freqs.spectral_margin(j)  # > 1.5 lambda_j > 0 in the lacunary3 regime
-        # supp P_j lies inside supp P_{j+1}: add P_j into a copy of P_{j+1}
-        mj, cj = expand_partial_product(spec, j).arrays()
+        # P_j is P_{j+1} on |m| <= S_j, bit for bit: add it into a copy of P_{j+1}
         ms, cs = expand_partial_product(spec, j + 1).arrays()
-        cs = cs.copy()
-        cs[np.searchsorted(ms, mj)] += cj
+        cs, inner = cs.copy(), np.abs(ms) <= _support_bound(spec, j)
+        cs[inner] += cs[inner]
         weights = 1.0 / (nu + np.abs(ms).astype(float))
         for x in (t + s, t - s):
             total += float(np.sum((cs * np.exp(1j * ms.astype(float) * x)).real * weights))
@@ -400,10 +400,9 @@ def local_holder(spec: RieszSpec, depth: int, t: float,
         ratios.append(math.log(m) / math.log(s))
     if not admissible:
         raise ValidationError("no admissible scales remain", "scales")
-    order = np.argsort(admissible)[:3]
-    alpha_estimate = min(ratios[i] for i in order)
+    # the admissible scales keep the ladder's decreasing order: the smallest come last
     return HolderSample(float(t), tuple(admissible), tuple(ratios),
-                        float(alpha_estimate), tuple(excluded))
+                        float(min(ratios[-3:])), tuple(excluded))
 
 
 def dimension_integral(spec: RieszSpec, n: int, depth: int,

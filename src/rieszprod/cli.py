@@ -4,7 +4,8 @@ One module operation per invocation.  Exit codes partition the outcomes:
 0 success, 2 validation error (bad file, bad argument, unknown command),
 3 cap or resource refusal.  Identical config and seed produce byte-identical
 reports, whatever the CPUs the process may use; --threads is accepted for old
-command lines and ignored.  ``COMMANDS`` holds one handler per (command, mode).
+command lines and ignored.  ``COMMANDS`` holds one handler per (command, mode);
+a handler writes nothing, and ``run`` writes its report, then its note on stderr.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", help="comma-separated integers (check)")
     p.add_argument("--method", choices=("auto", "brute", "mitm"), default="auto")
     p.add_argument("--nu", type=int, help="construction level (build / lambda)")
-    p.add_argument("--emit", help="alias for --out")
+    p.add_argument("--emit", dest="out", help="alias for --out")
 
     p = command("mesh", "mesh intersection counts")
     p.add_argument("mode", choices=("count",))
@@ -168,12 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class Report(NamedTuple):
-    """A handler's table (one column per header name), config extras and exit code."""
+    """A handler's table (one column per header name), config extras, exit code, note."""
 
     header: list[str]
     columns: list
     extras: dict = {}
     exit: int = EXIT_OK
+    note: str | None = None
 
 
 def _require_seed(args) -> int:
@@ -254,10 +256,10 @@ def _dim(args) -> Report:
     report = analysis.dimension_bounds(
         spec, range(args.n_min, args.n_max + 1), args.depth, method=args.method,
         seed=_require_seed(args) if monte_carlo else 0, samples=args.samples)
-    _to_stderr(f"dimension bracket: [{report.lower!r}, {report.upper!r}]")
     return Report(["n", "L_n"], list(zip(*report.l_values)),
                   {"lower": report.lower, "upper": report.upper,
-                   "generator": "numpy-pcg64" if monte_carlo else None})
+                   "generator": "numpy-pcg64" if monte_carlo else None},
+                  note=f"dimension bracket: [{report.lower!r}, {report.upper!r}]")
 
 
 def _interval(args) -> Report:
@@ -284,11 +286,11 @@ def _classify(args) -> Report:
     spec_a, spec_b = load_spec(args.spec_a), load_spec(args.spec_b)
     tails = load_tails(args.tails) if args.tails else None
     verdict = classify.classify_pair(spec_a, spec_b, tails)
-    print(f"verdict: {verdict.outcome} criterion: {verdict.criterion}")
     return Report(["series", "index", "partial_sum"],
                   list(zip(*[(name, i, ps) for name, ev in verdict.evidence
                              for i, ps in enumerate(ev.partial_sums)])),
-                  {"outcome": verdict.outcome, "criterion": verdict.criterion})
+                  {"outcome": verdict.outcome, "criterion": verdict.criterion},
+                  note=f"verdict: {verdict.outcome} criterion: {verdict.criterion}")
 
 
 def _witness(args) -> Report:
@@ -307,10 +309,9 @@ def _qi_check(args) -> Report:
     result = qi.qi_check_bruteforce(vset) if brute else qi.qi_check_mitm(vset)
     signs = result.witness.signs(len(vset)) if result.witness is not None else ()
     witness = ",".join(map(str, signs))
-    print(f"verdict: {str(result.quasi_independent).lower()}")
-    if witness:
-        print(f"witness: {witness}")
-    return Report(["quasi_independent", "witness"], [[result.quasi_independent], [witness]])
+    return Report(["quasi_independent", "witness"], [[result.quasi_independent], [witness]],
+                  note=f"verdict: {str(result.quasi_independent).lower()}"
+                  + (f"\nwitness: {witness}" if witness else ""))
 
 
 def _qi_build(args) -> Report:
@@ -335,24 +336,23 @@ def _mesh_count(args) -> Report:
         raise CapError(f"mesh padded to k={k} generators; the cap is {qi.MESH_GENERATOR_CAP}")
     elements = load_elements(args.lambda_csv)
     result = qi.mesh_intersection(elements, qi.Mesh.padded_unit_box(gens, k, elements))
-    print(f"count: {result.count}")
-    return Report(["member"], [result.members], {"count": result.count})
+    return Report(["member"], [result.members], {"count": result.count},
+                  note=f"count: {result.count}")
 
 
 def _sidon_bound(args) -> Report:
     value = qi.sidon_union_bound(_needs(args, "k", "--k"))
-    print(f"bound: {value!r}")
-    return Report(["k", "bound"], [[args.k], [value]])
+    return Report(["k", "bound"], [[args.k], [value]], note=f"bound: {value!r}")
 
 
 def _sidon_estimate(args) -> Report:
     estimate = qi.sidon_lower_estimate(_comma_ints(_needs(args, "values", "--set")),
                                        trials=args.trials, seed=_require_seed(args),
                                        grid_size=args.grid)
-    print(f"certified lower bound: {estimate.lower_bound!r}")
     return Report(["lower_bound", "grid_ratio", "grid_size", "degree", "factor"],
                   [[estimate.lower_bound], [estimate.grid_ratio], [estimate.grid_size],
-                   [estimate.degree], [estimate.factor]], {"generator": estimate.generator})
+                   [estimate.degree], [estimate.factor]], {"generator": estimate.generator},
+                  note=f"certified lower bound: {estimate.lower_bound!r}")
 
 
 # (command, mode) -> handler; a command without modes has mode None
@@ -372,8 +372,9 @@ def run(args) -> int:
     report = COMMANDS[args.command, getattr(args, "mode", None)](args)
     config = {k: v for k, v in sorted(vars(args).items()) if v is not None}
     config.update({k: v for k, v in report.extras.items() if v is not None})
-    out = args.out or getattr(args, "emit", None)
-    write_report(out, args.format, report.header, report.columns, config)
+    write_report(args.out, args.format, report.header, report.columns, config)
+    if report.note is not None:
+        _to_stderr(report.note)
     return report.exit
 
 

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rieszprod import (
     CapError,
@@ -336,6 +338,47 @@ def test_interval_upper_bound_dominates_measure():
         measure = interval_measure(spec, 6, t, s)
         bound = interval_upper_bound(spec, 2, 6, t, s)
         assert bound >= measure - 1e-12
+
+
+def two_expansion_upper_bound(spec, N, J_max, t, s):
+    """The interval bound with P_j expanded on its own and scattered into a
+    copy of P_{j+1} by frequency."""
+    total = interval_measure(spec, N, t, s)
+    for j in range(N, J_max):
+        nu = spec.freqs.spectral_margin(j)
+        mj, cj = expand_partial_product(spec, j).arrays()
+        ms, cs = expand_partial_product(spec, j + 1).arrays()
+        cs = cs.copy()
+        cs[np.searchsorted(ms, mj)] += cj
+        weights = 1.0 / (nu + np.abs(ms).astype(float))
+        for x in (t + s, t - s):
+            total += float(np.sum((cs * np.exp(1j * ms.astype(float) * x)).real * weights))
+    return total
+
+
+@st.composite
+def lacunary3_specs(draw):
+    """Specs of 2 to 7 factors with ratios 3 to 5, some moduli 0, random phases."""
+    count = draw(st.integers(2, 7))
+    freqs = [1]
+    for ratio in draw(st.lists(st.integers(3, 5), min_size=count - 1, max_size=count - 1)):
+        freqs.append(freqs[-1] * ratio)
+    moduli = draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=count, max_size=count))
+    phases = draw(st.lists(st.floats(0.0, TWO_PI, exclude_max=True),
+                           min_size=count, max_size=count))
+    return RieszSpec(FrequencySequence(tuple(freqs)),
+                     CoefficientSequence(tuple(moduli),
+                                         tuple(p if r else 0.0 for r, p in zip(moduli, phases))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=lacunary3_specs(), data=st.data(), t=st.floats(-10.0, 10.0),
+       s=st.floats(0.0, math.pi, exclude_min=True))
+def test_interval_upper_bound_equals_two_expansions_bit_for_bit(spec, data, t, s):
+    J_max = data.draw(st.integers(1, spec.last_index), label="J_max")
+    N = data.draw(st.integers(0, J_max - 1), label="N")
+    expected = two_expansion_upper_bound(spec, N, J_max, t, s)
+    assert interval_upper_bound(spec, N, J_max, t, s).hex() == expected.hex()
 
 
 def test_interval_upper_bound_rejects_bad_ranges():

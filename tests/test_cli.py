@@ -16,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rieszprod
-from rieszprod import cli
+from rieszprod import analysis, cli, qi
 from rieszprod.cli import COMMANDS, build_parser, main
 from rieszprod.core import GRID_BUDGET, CapError
 from rieszprod.qi import MESH_GENERATOR_CAP
-from rieszprod.specio import validate_document
+from rieszprod.specio import load_spec, validate_document
 
 GOOD_SPEC = {
     "frequencies": {"rule": "geometric", "base": 4, "count": 7},
@@ -118,10 +118,11 @@ def test_energy_band_paper_verdict_matches_threshold(capsys, spec_path):
 
 
 def test_qi_check_reports_witness(capsys):
-    code, out, _ = run_cli(capsys, "qi", "check", "--values", "1,2,3")
+    code, out, err = run_cli(capsys, "qi", "check", "--values", "1,2,3")
     assert code == 0
-    assert "verdict: false" in out
-    assert "witness: 1,1,-1" in out
+    assert "verdict: false" in err
+    assert "witness: 1,1,-1" in err
+    assert out.splitlines()[-1] == "false,\"1,1,-1\""
 
 
 def test_qi_build_and_lambda_roundtrip_through_mesh(capsys, tmp_path):
@@ -135,10 +136,10 @@ def test_qi_build_and_lambda_roundtrip_through_mesh(capsys, tmp_path):
     assert code == 0
     capsys.readouterr()
 
-    code, out, _ = run_cli(capsys, "mesh", "count", "--lambda", str(lambda_csv),
+    code, _, err = run_cli(capsys, "mesh", "count", "--lambda", str(lambda_csv),
                            "--block", "2")
     assert code == 0
-    assert "count: 8" in out
+    assert "count: 8" in err
 
 
 def test_mesh_count_rejects_a_bad_element_row(tmp_path):
@@ -155,10 +156,10 @@ def test_mesh_padded_generators_keep_count(capsys, tmp_path):
     lambda_csv = tmp_path / "lambda.csv"
     main(["qi", "lambda", "--nu", "2", "--emit", str(lambda_csv)])
     capsys.readouterr()
-    code, out, _ = run_cli(capsys, "mesh", "count", "--lambda", str(lambda_csv),
+    code, _, err = run_cli(capsys, "mesh", "count", "--lambda", str(lambda_csv),
                            "--block", "2", "--k", "6")
     assert code == 0
-    assert "count: 8" in out
+    assert "count: 8" in err
 
 
 NOT_UTF8 = b'\xff{"frequencies": {}}\n'  # 0xff starts no UTF-8 sequence
@@ -189,7 +190,7 @@ def test_sidon_bound_and_estimate(capsys):
     code, out, _ = run_cli(capsys, "sidon", "estimate", "--set", "1,4,16,64",
                            "--trials", "5", "--seed", "7", "--format", "json")
     assert code == 0
-    payload = json.loads(out[out.index("{"):])
+    payload = json.loads(out)
     assert payload["config"]["seed"] == 7
     assert payload["config"]["generator"] == "numpy-pcg64"
 
@@ -245,7 +246,8 @@ def test_eval_takes_points_or_a_grid_not_both(capsys, spec_path):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
-def test_classify_command(capsys, tmp_path):
+def classify_argv(tmp_path) -> tuple[str, ...]:
+    """A classify command line on a singular pair with a declared divergent tail."""
     freqs = {"rule": "geometric", "base": 4, "count": 16}
     spec_a = tmp_path / "a.json"
     spec_a.write_text(json.dumps({
@@ -260,11 +262,14 @@ def test_classify_command(capsys, tmp_path):
     }), encoding="utf-8")
     tails = tmp_path / "tails.json"
     tails.write_text(json.dumps({"l2_gap": "divergent"}), encoding="utf-8")
-    code, out, _ = run_cli(capsys, "classify", "--spec-a", str(spec_a),
-                           "--spec-b", str(spec_b), "--tails", str(tails))
+    return "classify", "--spec-a", str(spec_a), "--spec-b", str(spec_b), "--tails", str(tails)
+
+
+def test_classify_command(capsys, tmp_path):
+    code, out, err = run_cli(capsys, *classify_argv(tmp_path))
     assert code == 0
-    assert "verdict: mutually_singular" in out
-    assert "criterion: l2_gap_divergent" in out
+    assert "verdict: mutually_singular" in err
+    assert "criterion: l2_gap_divergent" in err
     assert "l2_gap" in out  # evidence rows
 
 
@@ -637,6 +642,58 @@ def test_a_report_does_not_depend_on_writing_its_stderr_note(spec_path):
         assert run_child_without_stderr(argv, stderr=full) == (0, out)
 
 
+def run_child_to_file(path, *argv, **popen) -> tuple[int, str]:
+    """The CLI in a child whose stdout is the file ``path``: (exit code, stderr)."""
+    with open(path, "wb") as out:
+        code, _, err = run_child(*argv, stdout=out, **popen)
+    return code, err
+
+
+# the one config entry that --out adds to a report, as each format writes it
+OUT_ENTRY = {"csv": b'"out": "report", ', "json": b'\n    "out": "report",'}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stdout_holds_only_the_report_and_stderr_the_note(tmp_path, spec_path, fmt):
+    lambda_csv = tmp_path / "lambda.csv"
+    assert main(["qi", "lambda", "--nu", "3", "--out", str(lambda_csv)]) == 0
+    dim = analysis.dimension_bounds(load_spec(spec_path), range(1, 3), 5)
+    estimate = qi.sidon_lower_estimate([1, 4, 16, 64], trials=5, seed=7)
+    cases = [
+        (("qi", "check", "--values", "1,2,3"), "verdict: false\nwitness: 1,1,-1\n"),
+        (classify_argv(tmp_path), "verdict: mutually_singular criterion: l2_gap_divergent\n"),
+        (("mesh", "count", "--lambda", str(lambda_csv), "--block", "2"), "count: 8\n"),
+        (("sidon", "bound", "--k", "1"), f"bound: {3 * math.sqrt(3)!r}\n"),
+        (("sidon", "estimate", "--set", "1,4,16,64", "--trials", "5", "--seed", "7"),
+         f"certified lower bound: {estimate.lower_bound!r}\n"),
+        (("dim", "--spec", spec_path, "--depth", "5", "--n-min", "1", "--n-max", "2"),
+         f"dimension bracket: [{dim.lower!r}, {dim.upper!r}]\n"),
+    ]
+    for argv, note in cases:
+        argv = (*argv, "--format", fmt)
+        assert run_child_to_file(tmp_path / "stdout", *argv) == (0, note), argv
+        assert run_child_to_file(tmp_path / "empty", *argv, "--out", "report",
+                                 cwd=tmp_path) == (0, note), argv
+        assert (tmp_path / "empty").read_bytes() == b""
+        stdout = (tmp_path / "stdout").read_bytes()
+        head, entry, tail = (tmp_path / "report").read_bytes().partition(OUT_ENTRY[fmt])
+        assert entry and stdout == head + tail, argv
+        if fmt == "json":
+            json.loads(stdout)
+        else:
+            assert stdout.startswith(b"# config: {"), argv
+
+
+def test_emit_is_out(tmp_path):
+    for flag in ("emit", "out"):
+        (tmp_path / flag).mkdir()
+        assert run_child("qi", "build", "--nu", "2", f"--{flag}", "matrix.csv",
+                         cwd=tmp_path / flag) == (0, "", "")
+    emitted = (tmp_path / "emit" / "matrix.csv").read_bytes()
+    assert emitted == (tmp_path / "out" / "matrix.csv").read_bytes()
+    assert b'"out": "matrix.csv"' in emitted
+
+
 MONTE_CARLO = ("dim", "--n-min", "1", "--n-max", "1", "--depth", "6",
                "--method", "monte_carlo", "--seed", "1", "--samples")
 
@@ -870,7 +927,7 @@ def _fuzz_argv(data, files) -> list[str]:
     name = data.draw(st.sampled_from(sorted(subcommands)))
     argv = [name]
     for action in subcommands[name]._actions:
-        if action.dest in ("help", "out", "emit"):
+        if action.dest in ("help", "out"):
             continue
         if action.choices is not None:
             value = st.sampled_from(list(action.choices))
