@@ -4,7 +4,12 @@ quasi-independent set combinatorics.
 
 The public names below are loaded on first use (PEP 562), so ``import
 rieszprod`` imports neither numpy nor a layer; ``rieszprod.cli`` runs its
-first lines before numpy loads.
+first lines before numpy loads.  ``rieszprod.cli`` imports ``core`` and
+``specio`` and defers ``analysis``, ``classify`` and ``qi`` (the layers of
+the energy/dimension/interval/holder, classify/witness and qi/mesh/sidon
+commands) with ``importlib.util.LazyLoader``: each is registered in
+``sys.modules`` and on this package, as an import would leave it, and is
+compiled and run on its first attribute access.
 """
 
 import importlib

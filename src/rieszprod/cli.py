@@ -11,6 +11,7 @@ a handler writes nothing, and ``run`` writes its report, then its note on stderr
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import math
 import os
 import sys
@@ -29,7 +30,6 @@ else:
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from . import analysis, classify, qi
 from .core import (
     CapError,
     ValidationError,
@@ -49,6 +49,25 @@ from .specio import (
     schema_validate,
     write_report,
 )
+
+
+def _deferred(layer: str):
+    """The layer ``rieszprod.<layer>``, compiled and run on its first attribute
+    access (``importlib.util.LazyLoader``), so a command pays only for the
+    layers it uses.  The module is registered in ``sys.modules`` and on the
+    package as an import would do it; one already imported is kept."""
+    name = f"{__package__}.{layer}"
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], layer, module)
+    return module
+
+
+analysis, classify, qi = map(_deferred, ("analysis", "classify", "qi"))
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2

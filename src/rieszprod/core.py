@@ -29,7 +29,6 @@ import math
 import os
 import sys
 import threading
-from dataclasses import FrozenInstanceError
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -133,9 +132,13 @@ class Record:
         """Check or normalise the fields once they are set (subclasses override)."""
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # off the start path: dataclasses loads copy
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):

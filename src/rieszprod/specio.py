@@ -23,14 +23,12 @@ import functools
 import json
 import math
 import os
-import signal
 import sys
 import threading
 from pathlib import Path
 
 import numpy as np
 
-from .classify import TAILS, TailDeclarations
 from .core import (
     LACUNARY3,
     REGIMES,
@@ -246,6 +244,8 @@ def load_spec(path) -> RieszSpec:
 
 
 def load_tails(path) -> TailDeclarations:
+    from .classify import TAILS, TailDeclarations  # classify loads with the commands that use it
+
     doc = read_document(path)
     if not isinstance(doc, dict):
         raise SpecFileError([Diagnostic(str(path), "tails file must be a JSON object")])
@@ -413,6 +413,8 @@ def _collect(pid: int, read: int, kill: bool = False):
             frame = None if kill else pipe.read()
     finally:
         if frame is None:
+            import signal  # only a part that is killed needs it
+
             os.kill(pid, signal.SIGKILL)
         _, status = os.waitpid(pid, 0)
     if kill or status != 0 or len(frame) < 8:  # a part that exited 0 sent its whole frame

@@ -2,6 +2,8 @@
 
 import argparse
 import hashlib
+import importlib
+import inspect
 import io
 import itertools
 import json
@@ -598,6 +600,89 @@ def test_the_cli_loads_numpy_with_one_blas_thread_unless_told(blas, tasks):
               "os.environ.get('OPENBLAS_NUM_THREADS'))")
     assert run_python(script, OPENBLAS_NUM_THREADS=blas).split() == [str(tasks), "True",
                                                                      str(blas)]
+
+
+LAYERS = ("cli", "specio", "core", "analysis", "classify", "qi")
+DEFERRED = {"analysis", "classify", "qi"}
+# prints the file of every source the child compiles; the CI step on the installed
+# riesz script uses the same hook
+COMPILE_HOOK = ("import sys; sys.addaudithook(lambda event, args: event == 'compile' "
+                "and print('compiled:', args[1], file=sys.stderr)); ")
+ENTRY_POINTS = {  # python -m rieszprod.cli, and the installed riesz script
+    "module": "import runpy; runpy.run_module('rieszprod.cli', run_name='__main__', "
+              "alter_sys=True)",
+    "script": "from rieszprod.cli import console_main; console_main()",
+}
+
+
+def compiled_layers(tmp_path, entry: str, argv) -> set[str]:
+    """The package modules that the CLI compiles in a child run through
+    ``entry``.  The child reads its bytecode cache from an empty directory
+    and writes none, so it compiles every module that it runs."""
+    proc = subprocess.run(
+        [sys.executable, "-B", "-X", f"pycache_prefix={tmp_path / 'pycache'}", "-c",
+         COMPILE_HOOK + ENTRY_POINTS[entry], *argv],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    package = Path(rieszprod.__file__).resolve().parent
+    files = [Path(line.removeprefix("compiled: ")) for line in proc.stderr.splitlines()
+             if line.startswith("compiled: ")]
+    return {file.stem for file in files if file.resolve().parent == package}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("argv, deferred", [
+    (("coeffs", "--spec", "{spec}", "--depth", "3"), set()),
+    (("validate", "--spec", "{spec}"), set()),
+    (("qi", "check", "--values", "1,2,3"), {"qi"}),
+    (("dim", "--spec", "{spec}", "--depth", "5", "--n-min", "1", "--n-max", "2"),
+     {"analysis"}),
+    (("classify", "--spec-a", "{spec}", "--spec-b", "{spec}"), {"classify"}),
+], ids=["coeffs", "validate", "qi-check", "dim", "classify"])
+def test_a_command_compiles_only_the_layers_it_uses(tmp_path, spec_path, entry, argv,
+                                                    deferred):
+    layers = compiled_layers(tmp_path, entry, [a.format(spec=spec_path) for a in argv])
+    assert {"__init__", "cli", "specio", "core"} <= layers
+    assert layers & DEFERRED == deferred
+
+
+def public_functions(module) -> list[str]:
+    """What ``bench/spans.py`` wraps: the public functions that ``module`` defines."""
+    return sorted(name for name, value in vars(module).items() if not name.startswith("_")
+                  and inspect.isfunction(value) and value.__module__ == module.__name__)
+
+
+MODULE_GRAPH = f"""
+import inspect, json, sys
+import rieszprod, rieszprod.cli as cli
+{inspect.getsource(public_functions)}
+print(json.dumps({{
+    "registered": [f"rieszprod.{{layer}}" in sys.modules for layer in {LAYERS!r}],
+    "shared": [getattr(cli, layer) is sys.modules[f"rieszprod.{{layer}}"]
+               is getattr(rieszprod, layer) for layer in {sorted(DEFERRED)!r}],
+    "functions": [public_functions(sys.modules[f"rieszprod.{{layer}}"])
+                  for layer in {LAYERS!r}],
+}}))
+"""
+
+
+def test_the_cli_registers_every_layer_as_an_import_would():
+    graph = json.loads(run_python(MODULE_GRAPH))
+    assert all(graph["registered"]) and all(graph["shared"])
+    for layer, functions in zip(LAYERS, graph["functions"]):
+        assert functions, layer
+        assert functions == public_functions(importlib.import_module(f"rieszprod.{layer}"))
+
+
+LIBRARY_USER = "from rieszprod.qi import qi_check_mitm; import rieszprod.qi as qi"
+
+
+@pytest.mark.parametrize("first, then", [(LIBRARY_USER, "import rieszprod.cli as cli"),
+                                         ("import rieszprod.cli as cli", LIBRARY_USER)],
+                         ids=["qi-first", "cli-first"])
+def test_the_cli_and_a_library_user_share_one_qi_module(first, then):
+    script = f"{first}; {then}; print(cli.qi is qi, cli.qi.qi_check_mitm is qi_check_mitm)"
+    assert run_python(script) == "True True\n"
 
 
 # a missing spec file is a diagnostic, a qi build past its cap a refusal
