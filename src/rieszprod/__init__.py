@@ -27,9 +27,9 @@ _EXPORTS = {
     "analysis": (
         "DimensionReport", "EnergyReport", "HolderSample", "alpha_energy_band_series",
         "alpha_energy_direct", "dimension_bounds", "dimension_integral",
-        "energy_dimension_bound", "holder_transfer_check", "interval_masses",
-        "interval_measure", "interval_upper_bound", "local_holder", "series_verdict",
-        "smooth_by_vp", "vallee_poussin_kernel"),
+        "energy_dimension_bound", "holder_transfer_check", "interval_measure",
+        "interval_upper_bound", "local_holder", "series_verdict", "smooth_by_vp",
+        "vallee_poussin_kernel"),
     "classify": (
         "DivergenceWitness", "SeriesEvidence", "TailDeclarations", "Verdict",
         "build_divergence_witness", "centered_series_partial_sums", "classify_pair",

@@ -17,6 +17,7 @@ feeds each estimate is an explicit argument, never a hidden global.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -294,6 +295,16 @@ def smooth_by_vp(spec: RieszSpec, n: int, depth: int, t):
     return smoothed.evaluate(t)
 
 
+@functools.lru_cache(maxsize=2)  # the mass's P_depth and the bound's P_N
+def _centered(spec: RieszSpec, depth: int, t: float):
+    """The nonzero frequencies m of P_depth as floats and Re(c_m e^{imt}):
+    formed once per center for all the scales of ``interval_measure``."""
+    ms, cs = expand_partial_product(spec, depth).arrays()
+    nz = ms != 0
+    m = ms[nz].astype(float)
+    return m, (cs[nz] * np.exp(1j * m * t)).real
+
+
 def interval_measure(spec: RieszSpec, depth: int, t: float, s: float) -> float:
     """Exact mass of [t-s, t+s] under the depth-truncated density
     (normalized so the full circle has mass 1).
@@ -301,33 +312,11 @@ def interval_measure(spec: RieszSpec, depth: int, t: float, s: float) -> float:
     Termwise antiderivative of the sparse expansion:
     s/pi + (1/pi) sum_{m>0} Re(c_m e^{imt}) 2 sin(ms)/m ... folded over +-m.
     """
-    return interval_masses(spec, depth, t)(s)
-
-
-def interval_masses(spec: RieszSpec, depth: int, t: float):
-    """The function s -> ``interval_measure(spec, depth, t, s)``, which forms
-    the complex exponential Re(c_m e^{imt}) of the center once, at its first
-    call, and reuses it for every scale.  Each call checks its scale and
-    refuses phases before any work, as ``interval_measure`` does."""
-    centered = None
-
-    def mass(s: float) -> float:
-        nonlocal centered
-        if not 0.0 < s <= math.pi:
-            raise ValidationError(f"s must lie in (0, pi], got {s}", "scale")
-        _require_float_phases(spec, depth, "interval_measure", max(abs(t), s))
-        if centered is None:
-            ms, cs = expand_partial_product(spec, depth).arrays()
-            nz = ms != 0
-            m = ms[nz].astype(float)
-            centered = m, (cs[nz] * np.exp(1j * m * t)).real
-        m, a = centered
-        total = s / math.pi
-        if m.size:
-            total += float(np.sum(a * np.sin(m * s) / m)) / math.pi
-        return total
-
-    return mass
+    if not 0.0 < s <= math.pi:
+        raise ValidationError(f"s must lie in (0, pi], got {s}", "scale")
+    _require_float_phases(spec, depth, "interval_measure", max(abs(t), s))
+    m, a = _centered(spec, depth, t)  # an empty sum adds 0.0: the mass is then s/pi
+    return s / math.pi + float(np.sum(a * np.sin(m * s) / m)) / math.pi
 
 
 def interval_upper_bound(spec: RieszSpec, N: int, J_max: int, t: float,
@@ -351,15 +340,22 @@ def interval_upper_bound(spec: RieszSpec, N: int, J_max: int, t: float,
         raise ValidationError(f"s must lie in (0, pi], got {s}", "scale")
     _require_float_phases(spec, J_max, "interval_upper_bound", abs(t) + s)
     total = interval_measure(spec, N, t, s)
-    for j in range(N, J_max):
-        nu = spec.freqs.spectral_margin(j)  # > 1.5 lambda_j > 0 in the lacunary3 regime
-        # P_j is P_{j+1} on |m| <= S_j, bit for bit: add it into a copy of P_{j+1}
-        ms, cs = expand_partial_product(spec, j + 1).arrays()
-        cs, inner = cs.copy(), np.abs(ms) <= _support_bound(spec, j)
-        cs[inner] += cs[inner]
-        weights = 1.0 / (nu + np.abs(ms).astype(float))
-        for x in (t + s, t - s):
-            total += float(np.sum((cs * np.exp(1j * ms.astype(float) * x)).real * weights))
+    ms, cs = expand_partial_product(spec, J_max).arrays()
+    bounds = [_support_bound(spec, j) for j in range(J_max + 1)]
+    lo, hi = np.searchsorted(ms, [-b for b in bounds]), np.searchsorted(ms, bounds, "right")
+
+    def tail_terms(x):  # [Q_j(x) for N <= j < J_max] from one e^{imx} over P_{J_max}
+        e, terms = np.exp(1j * ms.astype(float) * x), []
+        for j in range(N, J_max):  # P_{j+1} is [a, d) of P_{J_max}, P_j its middle [b, c)
+            a, b, c, d = lo[j + 1], lo[j], hi[j], hi[j + 1]
+            c_sum = cs[a:d].copy()  # P_{j+1} + P_j, bit for bit in the lacunary3 regime,
+            c_sum[b - a:c - a] += cs[b:c]  # where nu_j > 1.5 lambda_j > 0
+            weights = 1.0 / (spec.freqs.spectral_margin(j) + np.abs(ms[a:d]).astype(float))
+            terms.append(float(np.sum((c_sum * e[a:d]).real * weights)))
+        return terms
+
+    for plus, minus in zip(tail_terms(t + s), tail_terms(t - s)):  # j outer, t+s first
+        total = total + plus + minus
     return total
 
 
@@ -384,7 +380,6 @@ def local_holder(spec: RieszSpec, depth: int, t: float,
     admissible: list[float] = []
     ratios: list[float] = []
     excluded: list[tuple[float, str]] = []
-    mass = interval_masses(spec, depth, t)
     for s in scales:
         if s < resolution:
             excluded.append((s, "below resolution of the truncation"))
@@ -392,7 +387,7 @@ def local_holder(spec: RieszSpec, depth: int, t: float,
         if not 0.0 < s < 1.0:
             excluded.append((s, "needs 0 < s < 1 for a meaningful log ratio"))
             continue
-        m = mass(s)
+        m = interval_measure(spec, depth, t, s)
         if m <= 0.0:
             excluded.append((s, "measure vanished numerically"))
             continue
@@ -545,8 +540,8 @@ def holder_transfer_check(spec: RieszSpec, beta: float, n_range,
     for name, values in (("n_range", n_range), ("t_grid", t_grid), ("s_grid", s_grid)):
         if not values:
             raise ValidationError(f"{name} is empty", name)
-    masses = (interval_masses(spec, depth, t) for t in t_grid)  # one exponential per center
-    big_c = max(mass(s) / s ** beta for mass in masses for s in s_grid)
+    big_c = max(interval_measure(spec, depth, t, s) / s ** beta
+                for t in t_grid for s in s_grid)
     t_arr = np.asarray(t_grid, dtype=float)
     return big_c, max(float(np.max(p_n)) / spec.freqs.values[n] ** (1.0 - beta)
                       for n, p_n in _partial_products(spec, t_arr, np.ones_like(t_arr), n_range))

@@ -285,11 +285,8 @@ def _interval(args) -> Report:
     spec = load_spec(args.spec)
     ts, ss = _comma_floats(args.t), _comma_floats(args.s)
     pairs = [(t, s) for t in ts for s in ss]
-    values = []
-    for t in ts:  # one complex exponential per center
-        mass = analysis.interval_masses(spec, args.depth, t)
-        values += [(mass(s), analysis.interval_upper_bound(spec, args.n, args.depth, t, s))
-                   for s in ss]
+    values = [(analysis.interval_measure(spec, args.depth, t, s),
+               analysis.interval_upper_bound(spec, args.n, args.depth, t, s)) for t, s in pairs]
     return Report(["t", "s", "measure", "bound"], [*zip(*pairs), *zip(*values)])
 
 
@@ -349,10 +346,7 @@ def _qi_lambda(args) -> Report:
 def _mesh_count(args) -> Report:
     gens = qi.build_dissociated_base(args.block).block(args.block)
     k = len(gens) if args.k is None else args.k
-    if k < len(gens):
-        raise ValidationError(f"--k must be >= the block size {len(gens)}", "arguments")
-    if k > qi.MESH_GENERATOR_CAP:
-        raise CapError(f"mesh padded to k={k} generators; the cap is {qi.MESH_GENERATOR_CAP}")
+    qi.Mesh._check_padding(len(gens), k)  # before the elements are read
     elements = load_elements(args.lambda_csv)
     result = qi.mesh_intersection(elements, qi.Mesh.padded_unit_box(gens, k, elements))
     return Report(["member"], [result.members], {"count": result.count},

@@ -480,7 +480,9 @@ class TrigPolynomial:
                 and np.array_equal(self._coeffs, other._coeffs))
 
     def coefficient(self, m: int) -> complex:
-        return self.coefficients.get(m, 0j)
+        """c_m by binary search over the frequencies; ``coefficients`` stays unbuilt."""
+        i = int(np.searchsorted(self._freqs, m))
+        return complex(self._coeffs[i]) if i < self._freqs.size and self._freqs[i] == m else 0j
 
     @property
     def degree(self) -> int:

@@ -410,9 +410,17 @@ class Mesh(Record):
     def padded_unit_box(cls, generators, k: int, elements) -> "Mesh":
         """The unit box on ``generators`` padded to k generators with scale * 3^i,
         scale = 4 (sum |g| + max |x| + 1) over the generators g and the elements x:
-        too large to represent any new element.  Callers refuse k > MESH_GENERATOR_CAP."""
+        too large to represent any new element, after ``_check_padding`` refuses k."""
+        cls._check_padding(len(generators), k)
         scale = 4 * (sum(map(abs, generators)) + max(map(abs, elements)) + 1)
         return cls.unit_box([*generators, *(scale * 3 ** i for i in range(k - len(generators)))])
+
+    @staticmethod
+    def _check_padding(n: int, k: int) -> None:  # before any element is read
+        if k < n:
+            raise ValidationError(f"--k must be >= the block size {n}", "arguments")
+        if k > MESH_GENERATOR_CAP:
+            raise CapError(f"mesh padded to k={k} generators; the cap is {MESH_GENERATOR_CAP}")
 
     @property
     def k(self) -> int:

@@ -30,7 +30,6 @@ from rieszprod import (
     eval_partial_product,
     expand_partial_product,
     holder_transfer_check,
-    interval_masses,
     interval_measure,
     interval_upper_bound,
     local_holder,
@@ -406,28 +405,42 @@ def reference_interval_measure(spec, depth, t, s):
     return s / math.pi + float(np.sum(terms)) / math.pi
 
 
-def test_interval_masses_match_per_scale_reference_bit_for_bit():
+def test_interval_measure_matches_per_scale_reference_bit_for_bit():
     rng = np.random.default_rng(311)
     spec = random_spec(rng, count=9)
     scales = [1.0, 0.5, 0.1, 0.02, 1e-3, math.pi]
     for t in (0.0, 1.3, -4.2, float(rng.uniform(0, TWO_PI))):
-        mass = interval_masses(spec, 8, t)
-        assert [mass(s) for s in scales] == [
-            reference_interval_measure(spec, 8, t, s) for s in scales]
         assert [interval_measure(spec, 8, t, s) for s in scales] == [
             reference_interval_measure(spec, 8, t, s) for s in scales]
         with pytest.raises(ValidationError, match="s must lie"):
-            mass(4.0)
+            interval_measure(spec, 8, t, 4.0)
 
 
-def test_interval_masses_refuse_phases_before_any_work(monkeypatch):
+def test_interval_measure_refuses_phases_before_any_work(monkeypatch):
     spec = geometric_spec(4, 8)
-    mass = interval_masses(spec, 7, 2.0 ** 40)  # support bound 21,845: phases beyond 2^52
+    t = 2.0 ** 40  # support bound 21,845: phases beyond 2^52
     monkeypatch.setattr("rieszprod.analysis.expand_partial_product", None)
     with pytest.raises(ValidationError, match="s must lie"):
-        mass(4.0)
+        interval_measure(spec, 7, t, 4.0)
     with pytest.raises(CapError, match="interval_measure needs float64 phases"):
-        mass(0.1)
+        interval_measure(spec, 7, t, 0.1)
+
+
+def test_interval_measure_tables_are_keyed_by_center_and_depth():
+    spec = random_spec(np.random.default_rng(317), count=8)
+    analysis._centered.cache_clear()
+    scales = [0.3, 0.02]
+    for depth, t in ((7, 0.4), (2, 0.4), (7, -1.9), (7, 0.4), (2, -1.9)):
+        assert [interval_measure(spec, depth, t, s) for s in scales] == [
+            reference_interval_measure(spec, depth, t, s) for s in scales]
+
+
+def test_interval_upper_bound_expands_only_p_n_and_p_j_max():
+    spec = random_spec(np.random.default_rng(319), count=7)
+    core._expansion.cache_clear()
+    analysis._centered.cache_clear()
+    interval_upper_bound(spec, 0, 6, 0.7, 0.05)
+    assert core._expansion.cache_info().misses == 2
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,18 @@ def test_mesh_padded_generators_keep_count(capsys, tmp_path):
     assert "count: 8" in err
 
 
+@pytest.mark.parametrize("k, exit_code, message", [
+    ("1000000", 3, f"refused: mesh padded to k=1000000 generators; the cap is "
+                   f"{MESH_GENERATOR_CAP}\n"),
+    ("3", 2, "invalid: --k must be >= the block size 4\n")])
+def test_mesh_padding_refusals(tmp_path, k, exit_code, message):
+    lambda_csv = tmp_path / "lambda.csv"
+    lambda_csv.write_text("gamma\n5\n-7\n12\n", encoding="utf-8")
+    code, out, err = run_child("mesh", "count", "--lambda", str(lambda_csv),
+                               "--block", "2", "--k", k)
+    assert (code, out, err) == (exit_code, "", message)
+
+
 NOT_UTF8 = b'\xff{"frequencies": {}}\n'  # 0xff starts no UTF-8 sequence
 
 
@@ -551,7 +563,7 @@ PACKAGE_EXPORTS = {
             "gram_centered_exponentials randomize_phases spectrum_bands validate_spec",
     "analysis": "DimensionReport EnergyReport HolderSample alpha_energy_band_series "
                 "alpha_energy_direct dimension_bounds dimension_integral "
-                "energy_dimension_bound holder_transfer_check interval_masses "
+                "energy_dimension_bound holder_transfer_check "
                 "interval_measure interval_upper_bound local_holder series_verdict "
                 "smooth_by_vp vallee_poussin_kernel",
     "classify": "DivergenceWitness SeriesEvidence TailDeclarations Verdict "

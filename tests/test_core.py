@@ -269,6 +269,18 @@ def test_expansion_and_bands_bit_exact_against_oracle(case):
                                        for top, fs in sorted(groups.items())]
 
 
+@pytest.mark.parametrize("freqs", [(1, 4, 16, 64), (1, 10, 2 ** 70, 2 ** 72)],
+                         ids=["int64", "exact integers"])
+def test_coefficient_reads_one_frequency_without_the_mapping(freqs):
+    spec = RieszSpec(FrequencySequence(freqs), CoefficientSequence.constant(0.5, 0.3, 4))
+    core._expansion.cache_clear()  # a cached expansion may have built its mapping
+    poly = expand_partial_product(spec, 3)
+    probes = [*poly.support(), 0, 2, -2, 86, -86, 2 ** 70, -2 ** 70, 2 ** 70 + 2, 2 ** 80]
+    values = [poly.coefficient(m) for m in probes]
+    assert poly._mapping is None
+    assert [repr(v) for v in values] == [repr(poly.coefficients.get(m, 0j)) for m in probes]
+
+
 def test_exact_integer_frequencies_beyond_int64():
     spec = RieszSpec(FrequencySequence((1, 10, 10 ** 20, 10 ** 24)),
                      CoefficientSequence.constant(0.5, 0.0, 4))

@@ -38,7 +38,7 @@ from rieszprod import (
     verify_mesh_bound,
 )
 from rieszprod.cli import main
-from rieszprod.qi import QI_FALSE_MATCH_CAP, RESIDUE_PRIME
+from rieszprod.qi import MESH_GENERATOR_CAP, QI_FALSE_MATCH_CAP, RESIDUE_PRIME
 
 
 def assert_witness_valid(vset, result):
@@ -473,6 +473,24 @@ def test_mesh_empty_set_and_caps():
     crowded = Mesh.unit_box(list(range(1, 18)))  # not dissociated, k = 17
     with pytest.raises(CapError):
         mesh_intersection([5], crowded)
+
+
+class Unread:
+    """Elements that fail the test when the padding reads them."""
+
+    def __iter__(self):
+        raise AssertionError("the elements were read")
+
+
+def test_mesh_padding_is_refused_before_any_generator_is_formed():
+    gens = (7, 49)
+    with pytest.raises(CapError, match=f"k={MESH_GENERATOR_CAP + 1} generators; "
+                                       f"the cap is {MESH_GENERATOR_CAP}"):
+        Mesh.padded_unit_box(gens, MESH_GENERATOR_CAP + 1, Unread())
+    with pytest.raises(ValidationError, match="--k must be >= the block size 2"):
+        Mesh.padded_unit_box(gens, 1, Unread())
+    assert Mesh.padded_unit_box(gens, MESH_GENERATOR_CAP, [5]).k == MESH_GENERATOR_CAP
+    assert Mesh.padded_unit_box(gens, 2, [5]) == Mesh.unit_box(gens)
 
 
 def test_mesh_non_dissociated_exhaustive_path():
