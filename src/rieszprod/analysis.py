@@ -35,6 +35,7 @@ from .core import (
     ValidationError,
     _check_depth,
     _check_grid,
+    _generator,
     _grid,
     _levels,
     _partial_products,
@@ -195,7 +196,7 @@ def alpha_energy_band_series(spec: RieszSpec, alpha: float, n_max: int,
             if moduli[j] == 0.0:
                 return None
             up = (values[0] * (moduli[j] ** 2 / 4.0),)
-            return up, up
+            return (0, values), (1, up), (-1, up)  # np.sum adds a band in this order
 
         # the squared spectrum of the depth-(n-1) product, for n = 0..n_max
         levels = _levels(spec, n_max, (np.ones(1),), blocks)
@@ -422,18 +423,16 @@ def dimension_bounds(spec: RieszSpec, n_range, depth: int,
     """Finite-n dimension bracket: lower = 1 - max L_n, upper = 1 - min L_n,
     with L_n as in ``dimension_integral``.
 
-    The arguments of every n are checked first; the grid, P_depth and the
-    Monte Carlo samples are then built once and shared by every n, and one
-    factor chain takes P_n for the distinct n in ascending order (the
-    smallest n over the clipping cap is the one refused).  These are
+    The arguments of every n are checked first, as each n is read; the grid,
+    P_depth and the Monte Carlo samples are then built once and shared by
+    every n, and one factor chain takes P_n for the distinct n in ascending
+    order (the smallest n over the clipping cap is the one refused).  These are
     proxies for the limsup/liminf bracket, labelled as such; both ends are
     clamped to [0, 1] with the clamping recorded.
     """
-    n_range = tuple(int(n) for n in n_range)
-    if not n_range:
-        raise ValidationError("n_range is empty", "n_range")
     _check_depth(spec, depth)
-    for n in n_range:
+    checked = []
+    for n in map(int, n_range):
         _check_depth(spec, n, "n")
         if spec.freqs.values[n] < 2:
             raise ValidationError(
@@ -443,12 +442,17 @@ def dimension_bounds(spec: RieszSpec, n_range, depth: int,
             raise ValidationError(
                 f"depth must be >= n + 3 for a faithful measure proxy, got "
                 f"n={n}, depth={depth}", "depth")
+        checked.append(n)
+    if not checked:
+        raise ValidationError("n_range is empty", "n_range")
+    n_range = tuple(checked)
     if method not in ("quadrature", "monte_carlo"):
         raise ValidationError(f"unknown method {method!r}", "method")
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}", "samples")
     if method == "monte_carlo":
         _check_grid(samples, "Monte Carlo sampling")
+        rng = _generator(seed)
     nodes = 8 * spec.freqs.prefix_sum(depth)
     _check_grid(nodes, f"the quadrature grid at depth {depth}")
     grid = _grid(nodes)
@@ -460,7 +464,7 @@ def dimension_bounds(spec: RieszSpec, n_range, depth: int,
     if monte_carlo:
         cdf = np.cumsum(p_depth, out=p_depth)
         cdf /= cdf[-1]
-        idx = _inverse_cdf(cdf, np.random.default_rng(seed).random(int(samples)))
+        idx = _inverse_cdf(cdf, rng.random(int(samples)))
         log_p = buffer[:samples]
     else:
         log_p = np.empty_like(grid)

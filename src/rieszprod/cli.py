@@ -31,6 +31,7 @@ else:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .core import (
+    PHASE_GENERATOR,
     CapError,
     ValidationError,
     _check_grid,
@@ -277,7 +278,7 @@ def _dim(args) -> Report:
         seed=_require_seed(args) if monte_carlo else 0, samples=args.samples)
     return Report(["n", "L_n"], list(zip(*report.l_values)),
                   {"lower": report.lower, "upper": report.upper,
-                   "generator": "numpy-pcg64" if monte_carlo else None},
+                   "generator": PHASE_GENERATOR if monte_carlo else None},
                   note=f"dimension bracket: [{report.lower!r}, {report.upper!r}]")
 
 

@@ -25,6 +25,7 @@ All types are immutable values; all operations are pure functions.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import sys
@@ -439,8 +440,8 @@ class TrigPolynomial:
     strictly increasing integer frequencies, int64 when every |m| is below
     2^62 and exact Python integers otherwise, and their complex128
     coefficients, exact zeros pruned.  ``coefficients`` is a mapping built
-    once on first use.  ``real_valued`` flags Hermitian symmetry
-    c_{-m} = conj(c_m); evaluation then returns real values.
+    once on first use.  ``real_valued`` tests Hermitian symmetry
+    c_{-m} = conj(c_m) when read; evaluation then returns real values.
     """
 
     def __init__(self, coefficients: Mapping[int, complex]):
@@ -460,12 +461,11 @@ class TrigPolynomial:
     def _adopt(self, freqs: np.ndarray, coeffs: np.ndarray) -> None:
         freqs.flags.writeable = coeffs.flags.writeable = False
         self._freqs, self._coeffs, self._mapping = freqs, coeffs, None
-        self._real_valued = bool(np.array_equal(freqs, -freqs[::-1])
-                                 and np.array_equal(coeffs, coeffs[::-1].conj()))
 
     @property
     def real_valued(self) -> bool:
-        return self._real_valued
+        return bool(np.array_equal(self._freqs, -self._freqs[::-1])
+                    and np.array_equal(self._coeffs, self._coeffs[::-1].conj()))
 
     @property
     def coefficients(self) -> Mapping[int, complex]:
@@ -521,7 +521,7 @@ class TrigPolynomial:
                     out[lo:hi] += block
                 else:  # assigned, not added to zeros: a -0.0 part keeps its sign
                     out[lo:hi] = block
-        if self._real_valued:
+        if self.real_valued:
             out = out.real
         if np.isscalar(t) or np.ndim(t) == 0:
             return out[0]
@@ -608,19 +608,20 @@ def _require_float_phases(spec: RieszSpec, depth: int, reader: str, reach: float
 
 def _levels(spec: RieszSpec, depth: int, values: tuple, blocks):
     """Yield (freqs, values) for the constant 1, then after each factor j <=
-    depth: the blocks at m, m + lambda_j, m - lambda_j, concatenated, with
-    values (float arrays) from ``blocks(j, values)`` -> (up, down), or None
-    for a factor 1.  Equal frequencies are summed only where they can meet
-    (lambda_j at most twice the prefix sum below it: the dyadic regime).
-    Frequencies are int64 while ``_support_bound(spec, depth)`` < 2^62."""
+    depth: the blocks m + e*lambda_j, concatenated in the order of
+    ``blocks(j, values)`` -> ((e, values), ...), e in {-1, 0, 1} and values
+    float arrays, or None for a factor 1.  Equal frequencies are summed only
+    where they can meet (the dyadic regime: lambda_j at most twice the prefix
+    sum below it); elsewhere the blocks are disjoint, and e = -1, 0, 1 keeps
+    a level sorted.  Frequencies are int64 while ``_support_bound`` < 2^62."""
     lams = spec.freqs.values
     freqs = np.zeros(1, dtype=_frequency_dtype(_support_bound(spec, depth)))
     yield freqs, values
     for j in range(depth + 1):
         level = blocks(j, values)
         if level is not None:
-            freqs = np.concatenate((freqs, freqs + lams[j], freqs - lams[j]))
-            values = tuple(map(np.concatenate, zip(values, *level)))
+            freqs = np.concatenate([freqs + e * lams[j] for e, _ in level])
+            values = tuple(map(np.concatenate, zip(*(v for _, v in level))))
             if lams[j] <= 2 * spec.freqs.prefix_sum(j - 1):
                 freqs, where = np.unique(freqs, return_inverse=True)
                 # bincount adds in index order from 0.0, as a dict would
@@ -634,7 +635,7 @@ def _times(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=2)  # no command reads more than two expansions
 def _expansion(spec: RieszSpec, n: int) -> TrigPolynomial:
     if n > MAX_EXPANSION_DEPTH:
         raise CapError(
@@ -646,13 +647,13 @@ def _expansion(spec: RieszSpec, n: int) -> TrigPolynomial:
         if a == 0:
             return None
         half = a / 2
-        return _times(*values, half.real, half.imag), _times(*values, half.real, -half.imag)
+        return ((-1, _times(*values, half.real, -half.imag)), (0, values),  # ascending blocks
+                (1, _times(*values, half.real, half.imag)))
 
     for freqs, (re, im) in _levels(spec, n, (np.ones(1), np.zeros(1)), blocks):
         pass
-    order = np.argsort(freqs, kind="stable")
     # adding 0.0 turns -0.0 into 0.0, as accumulating from 0j does
-    return TrigPolynomial._from_parts(freqs[order], re[order] + 0.0, im[order] + 0.0)
+    return TrigPolynomial._from_parts(freqs, re + 0.0, im + 0.0)
 
 
 def expand_partial_product(spec: RieszSpec, n: int) -> TrigPolynomial:
@@ -779,12 +780,8 @@ def _representation(freqs: FrequencySequence, m: int, depth: int) -> SignPattern
     top index of any representation is forced and the residual recurses.
     """
     vals = freqs.values
-    prefix = [0]
-    for v in vals:
-        prefix.append(prefix[-1] + v)  # prefix[j+1] = sum_{i<=j} lambda_i
-    entries = []
-    x = m
-    j = depth
+    prefix = [0, *itertools.accumulate(vals)]  # prefix[j+1] = sum_{i<=j} lambda_i
+    entries, x, j = [], m, depth
     while x != 0:
         ax = abs(x)
         top = None
@@ -830,12 +827,9 @@ def fourier_coefficient(spec: RieszSpec, m: int, depth: int) -> FourierCoefficie
     _check_depth(spec, depth, "depth")
     stable = _stable_at(spec, m, depth)
     if spec.regime == DYADIC:
-        value = _expansion(spec, depth).coefficient(m)
-        return FourierCoefficient(value, stable)
+        return FourierCoefficient(_expansion(spec, depth).coefficient(m), stable)
     pattern = _representation(spec.freqs, m, depth)
-    if pattern is None:
-        return FourierCoefficient(0j, stable)
-    value = _pattern_coefficient(spec, pattern)
+    value = 0j if pattern is None else _pattern_coefficient(spec, pattern)
     return FourierCoefficient(value, stable)
 
 
@@ -875,21 +869,23 @@ def convolve_products(p: TrigPolynomial, q: TrigPolynomial) -> TrigPolynomial:
     return TrigPolynomial._from_parts(pm[common], *_times(a.real, a.imag, b.real, b.imag))
 
 
+def _generator(seed: int) -> np.random.Generator:
+    """numpy's PCG64 (``PHASE_GENERATOR``) seeded by ``seed``, which must be >= 0."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}", "seed")
+    return np.random.default_rng(seed)
+
+
 def randomize_phases(spec: RieszSpec, seed: int) -> RieszSpec:
     """Rotate each phase by an independent uniform angle on [0, 2pi).
 
     Deterministic for a fixed seed; moduli are unchanged.  The seed and
     generator name are carried on the returned spec for reproducibility.
     """
-    rng = np.random.default_rng(seed)
-    omega = rng.uniform(0.0, TWO_PI, len(spec.coeffs))
-    new_phases = tuple(
-        (spec.coeffs.phases[j] + float(omega[j])) % TWO_PI
-        for j in range(len(spec.coeffs))
-    )
-    coeffs = CoefficientSequence(spec.coeffs.moduli, new_phases)
-    return replace(spec, coeffs=coeffs, phase_seed=seed,
-                   phase_generator=PHASE_GENERATOR)
+    omega = _generator(seed).uniform(0.0, TWO_PI, len(spec.coeffs)).tolist()
+    phases = tuple((phase + w) % TWO_PI for phase, w in zip(spec.coeffs.phases, omega))
+    return replace(spec, coeffs=CoefficientSequence(spec.coeffs.moduli, phases),
+                   phase_seed=seed, phase_generator=PHASE_GENERATOR)
 
 
 def gram_centered_exponentials(spec: RieszSpec, j: int, k: int, depth: int) -> complex:

@@ -47,7 +47,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import CapError, Record, SignPattern, ValidationError, _grid
+from .core import (PHASE_GENERATOR, CapError, Record, SignPattern, ValidationError, _generator,
+                   _grid)
 
 BRUTE_FORCE_CAP = 16
 MITM_CAP = 32
@@ -583,7 +584,7 @@ class SidonEstimate(Record):
     factor: float
     trials: int
     seed: int
-    generator: str = "numpy-pcg64"
+    generator: str = PHASE_GENERATOR
 
 
 def sidon_lower_estimate(frequencies: Iterable[int], trials: int = 200,
@@ -621,9 +622,9 @@ def sidon_lower_estimate(frequencies: Iterable[int], trials: int = 200,
         raise CapError(
             f"grid budget exceeded: {k} frequencies x {m_grid} nodes > "
             f"{SIDON_GRID_BUDGET}")
+    rng = _generator(seed)
     t = _grid(m_grid)
     basis = np.exp(1j * np.outer(np.array(freqs, dtype=float), t))
-    rng = np.random.default_rng(seed)
     best_ratio = 0.0
     best_c = np.ones(k, dtype=complex)
     deltas = (math.pi / 4, -math.pi / 4, math.pi / 16, -math.pi / 16)

@@ -60,8 +60,8 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_num(x) -> bool:
-    return (_is_int(x) or isinstance(x, float)) and math.isfinite(x)
+def _is_num(x) -> bool:  # finite: an integer beyond the largest float64 is not
+    return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
 
 
 def _check_frequencies(doc, out: list[Diagnostic]) -> FrequencySequence | None:
@@ -131,9 +131,7 @@ def _check_coefficients(doc, count: int | None, out: list[Diagnostic]):
     kind = kinds[0]
     if kind == "constant":
         obj = coeffs["constant"]
-        if not _check_rt(obj, "coefficients.constant", out):
-            return None, None
-        if count is None:
+        if not _check_rt(obj, "coefficients.constant", out) or count is None:
             return None, None
         return CoefficientSequence.constant(obj["r"], obj.get("theta", 0.0), count), None
     if kind == "explicit":
@@ -158,8 +156,8 @@ def _check_coefficients(doc, count: int | None, out: list[Diagnostic]):
     obj = coeffs["random_phase"]
     if not _check_rt(obj, "coefficients.random_phase", out):
         return None, None
-    if not _is_int(obj.get("seed")):
-        out.append(Diagnostic("coefficients.random_phase.seed", "must be an integer"))
+    if not _is_int(obj.get("seed")) or obj["seed"] < 0:
+        out.append(Diagnostic("coefficients.random_phase.seed", "must be an integer >= 0"))
         return None, None
     if count is None:
         return None, None

@@ -542,6 +542,31 @@ def test_dimension_bounds_trivial_and_ordering():
     assert 0.0 <= report.lower and report.upper <= 1.0
 
 
+def test_dimension_bounds_checks_each_n_as_it_is_read():
+    spec = random_spec(np.random.default_rng(103), count=9)
+
+    def ns():
+        yield from (1, 2, 3, 4, 5)  # n = 5 needs depth >= 8
+        raise AssertionError("the range was read past its first bad n")
+
+    with pytest.raises(ValidationError, match="got n=5, depth=7$"):
+        dimension_bounds(spec, ns(), 7)
+    with pytest.raises(ValidationError, match="^depth=9 out of range"):
+        dimension_bounds(spec, ns(), 9)  # the depth is checked before any n
+    with pytest.raises(ValidationError, match="^n_range is empty$"):
+        dimension_bounds(spec, iter(()), 7)
+
+
+def test_negative_seeds_are_refused_before_any_draw():
+    spec = random_spec(np.random.default_rng(107), count=8)
+    with pytest.raises(ValidationError, match="^seed must be >= 0, got -1$"):
+        dimension_bounds(spec, (1,), 6, "monte_carlo", seed=-1)
+    with pytest.raises(ValidationError, match="^seed must be >= 0, got -2$"):
+        core.randomize_phases(spec, -2)
+    report = dimension_bounds(spec, (1,), 6, "quadrature", seed=-1)  # no draw: no seed
+    assert report.l_values == dimension_bounds(spec, (1,), 6).l_values
+
+
 def reference_log_integral(spec, n, depth, method, seed, samples):
     """L_n by the per-n formula: its own grid, P_n, and P_depth continued
     from P_n factor by factor."""

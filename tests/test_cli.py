@@ -793,6 +793,11 @@ def test_emit_is_out(tmp_path):
 
 MONTE_CARLO = ("dim", "--n-min", "1", "--n-max", "1", "--depth", "6",
                "--method", "monte_carlo", "--seed", "1", "--samples")
+NEGATIVE_SEED_SPEC = {**GOOD_SPEC, "coefficients": {"random_phase": {"r": 0.5, "seed": -1}}}
+# a JSON integer that float64 cannot hold
+BEYOND_FLOAT_R_SPEC = {**GOOD_SPEC, "coefficients": {"constant": {"r": 10 ** 400}}}
+BEYOND_FLOAT_THETA_SPEC = {**GOOD_SPEC,
+                           "coefficients": {"constant": {"r": 0.5, "theta": -10 ** 400}}}
 
 
 # the path of the row's spec file; rows without it get --spec appended
@@ -806,6 +811,17 @@ REFUSALS = [
      "n=20 out of range [0, 6]"),
     (GOOD_SPEC, MONTE_CARLO + ("-1",), 2, "samples must be >= 1, got -1"),
     (GOOD_SPEC, MONTE_CARLO + ("0",), 2, "samples must be >= 1, got 0"),
+    # a range is checked n by n: n = 4 is refused before the next n is formed
+    (GOOD_SPEC, ("dim", "--n-min", "1", "--n-max", str(10 ** 12), "--depth", "6"), 2,
+     "depth must be >= n + 3 for a faithful measure proxy, got n=4, depth=6"),
+    # negative seeds, and JSON integers beyond float64
+    (GOOD_SPEC, MONTE_CARLO[:-2] + ("-1",), 2, "seed must be >= 0, got -1"),
+    (NEGATIVE_SEED_SPEC, ("coeffs", "--depth", "2"), 2,
+     "coefficients.random_phase.seed: must be an integer >= 0"),
+    (BEYOND_FLOAT_R_SPEC, ("coeffs", "--depth", "2"), 2,
+     "coefficients.constant.r: must be a finite number"),
+    (BEYOND_FLOAT_THETA_SPEC, ("coeffs", "--depth", "2"), 2,
+     "coefficients.constant.theta: must be a finite number"),
     (GOOD_SPEC, ("gram", "--j", "-1", "--k", "-1", "--depth", "6"), 2, "j=-1, k=-1"),
     (GOOD_SPEC, ("eval", "--depth", "3", "--grid", "-5"), 2, "--grid must be >= 1, got -5"),
     (GOOD_SPEC, ("witness", "--spec-a", SPEC, "--spec-b", SPEC, "--terms", "-3"), 2,
@@ -875,6 +891,7 @@ SPECLESS_REFUSALS = [
      "trials must be >= 1, got 0"),
     (("sidon", "estimate", "--set", ",", "--seed", "1"), 2,
      "expected comma-separated integers, got ','"),
+    (("sidon", "estimate", "--set", "1,3,9", "--seed", "-1"), 2, "seed must be >= 0, got -1"),
 ]
 
 
@@ -885,6 +902,17 @@ def test_specless_argument_checks_and_refusals(argv, exit_code, named):
     assert code == exit_code and out == ""
     assert err.startswith("invalid: " if exit_code == 2 else "refused: ")
     assert named in err
+
+
+@pytest.mark.parametrize("doc, row", [
+    (NEGATIVE_SEED_SPEC, "coefficients.random_phase.seed,must be an integer >= 0"),
+    (BEYOND_FLOAT_R_SPEC, "coefficients.constant.r,must be a finite number"),
+    (BEYOND_FLOAT_THETA_SPEC, "coefficients.constant.theta,must be a finite number"),
+], ids=["negative seed", "r beyond float64", "theta beyond float64"])
+def test_validate_names_negative_seeds_and_integers_beyond_float64(tmp_path, doc, row):
+    code, out, err = run_child("validate", "--spec", write_spec(tmp_path, doc))
+    assert (code, err) == (2, "")
+    assert out.splitlines()[1:] == ["path,message", row]
 
 
 def _subcommands() -> dict:

@@ -269,6 +269,127 @@ def test_expansion_and_bands_bit_exact_against_oracle(case):
                                        for top, fs in sorted(groups.items())]
 
 
+def frequency_dtype(spec, depth):
+    return np.int64 if core._support_bound(spec, depth) < core.INT64_LIMIT else object
+
+
+def unsorted_levels(spec, depth, values, step):
+    """The levels without ``core._levels``, each laid out as (F, F + lambda_j,
+    F - lambda_j) with values (v, up, down) = (v, *step(j, v)), or skipped
+    where step returns None; colliding (dyadic) frequencies are summed by
+    np.unique and bincount in that order."""
+    lams = spec.freqs.values
+    freqs = np.zeros(1, dtype=frequency_dtype(spec, depth))
+    yield freqs, values
+    for j in range(depth + 1):
+        moved = step(j, values)
+        if moved is not None:
+            freqs = np.concatenate((freqs, freqs + lams[j], freqs - lams[j]))
+            values = tuple(map(np.concatenate, zip(values, *moved)))
+            if lams[j] <= 2 * spec.freqs.prefix_sum(j - 1):
+                freqs, where = np.unique(freqs, return_inverse=True)
+                values = tuple(np.bincount(where, v, freqs.size) for v in values)
+        yield freqs, values
+
+
+def argsorted_expansion(spec, n):
+    """P_n built from unsorted levels, then put in order by a stable argsort."""
+    def step(j, values):
+        half = spec.coefficient(j) / 2
+        if half == 0:
+            return None
+        return (core._times(*values, half.real, half.imag),
+                core._times(*values, half.real, -half.imag))
+
+    *_, (freqs, (re, im)) = unsorted_levels(spec, n, (np.ones(1), np.zeros(1)), step)
+    order = np.argsort(freqs, kind="stable")
+    return TrigPolynomial._from_parts(freqs[order], re[order] + 0.0, im[order] + 0.0)
+
+
+def assert_same_bits(poly, reference):
+    (ms, cs), (ref_ms, ref_cs) = poly.arrays(), reference.arrays()
+    assert ms.dtype == ref_ms.dtype and ms.tolist() == ref_ms.tolist()
+    # the bits of both parts of every coefficient, the signs of zeros included
+    assert cs.view(np.int64).tolist() == ref_cs.view(np.int64).tolist()
+
+
+@st.composite
+def dyadic_cases(draw):
+    """A dyadic spec (lambda_j = 2^j) with moduli in [0, 0.99], zeros among
+    them, any finite phases; and a depth."""
+    count = draw(st.integers(1, 12))
+    moduli = st.one_of(st.just(0.0), st.floats(0.0, 0.99))
+    phases = st.floats(allow_nan=False, allow_infinity=False)
+    spec = RieszSpec(FrequencySequence.geometric(2, count),
+                     CoefficientSequence(tuple(draw(moduli) for _ in range(count)),
+                                         tuple(draw(phases) for _ in range(count))), "dyadic")
+    return spec, draw(st.integers(0, count - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(lacunary3_cases(), dyadic_cases()))
+@example(SIGNED_ZERO)
+def test_sorted_levels_equal_the_argsorted_expansion_bit_for_bit(case):
+    spec, n = case
+    assert_same_bits(expand_partial_product(spec, n), argsorted_expansion(spec, n))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lacunary3_cases(), st.floats(0.01, 0.99))
+def test_band_series_adds_each_band_in_the_unsorted_order(case, alpha):
+    spec, n = case
+
+    def step(j, values):
+        if spec.coeffs.moduli[j] == 0.0:
+            return None
+        up = (values[0] * (spec.coeffs.moduli[j] ** 2 / 4.0),)
+        return up, up
+
+    expected = []
+    for lam, r, (freqs, (w,)) in zip(spec.freqs.values[: n + 1], spec.coeffs.moduli,
+                                     unsorted_levels(spec, n, (np.ones(1),), step)):
+        expected.append(2.0 * (r ** 2 / 4.0) * float(
+            np.sum(w * (lam + freqs).astype(float) ** (alpha - 1.0))) if r > 0.0 else 0.0)
+    terms = analysis.alpha_energy_band_series(spec, alpha, n, "band_exact").terms
+    assert [repr(t) for t in terms] == [repr(t) for t in expected]
+
+
+def test_expansions_are_built_sorted_without_argsort(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.argsort was called")
+
+    monkeypatch.setattr(np, "argsort", refuse)
+    specs = [(geometric_spec(4, 9, r=0.7, theta=0.4), 8),
+             (RieszSpec(FrequencySequence((1, 10, 2 ** 70, 2 ** 72)),
+                        CoefficientSequence((0.5, 0.0, 1.0, 0.3), (0.1, 0.0, 2.0, 3.0))), 3),
+             (random_spec(np.random.default_rng(23), count=9, base=2, regime="dyadic",
+                          rmax=0.9), 8)]
+    core._expansion.cache_clear()
+    for spec, n in specs:
+        ms, _ = expand_partial_product(spec, n).arrays()
+        assert all(a < b for a, b in zip(ms.tolist(), ms.tolist()[1:]))
+
+
+def test_the_expansion_cache_holds_two_expansions():
+    spec = geometric_spec(4, 6, r=0.5)
+    core._expansion.cache_clear()
+    for n in (3, 4, 5, 4):
+        expand_partial_product(spec, n)
+    info = core._expansion.cache_info()
+    assert (info.maxsize, info.currsize, info.hits, info.misses) == (2, 2, 1, 3)
+
+
+@pytest.mark.parametrize("coefficients, real", [
+    ({-3: 0.5 - 0.25j, 0: 1.0, 3: 0.5 + 0.25j}, True),
+    ({-3: 0.5 + 0.25j, 0: 1.0, 3: 0.5 + 0.25j}, False),
+    ({}, True),
+], ids=["Hermitian", "not Hermitian", "empty"])
+def test_real_valued_is_read_from_the_coefficients(coefficients, real):
+    poly = TrigPolynomial(coefficients)
+    assert poly.real_valued is real
+    assert np.isrealobj(poly.evaluate(np.array([0.0, 1.0]))) is real
+
+
 @pytest.mark.parametrize("freqs", [(1, 4, 16, 64), (1, 10, 2 ** 70, 2 ** 72)],
                          ids=["int64", "exact integers"])
 def test_coefficient_reads_one_frequency_without_the_mapping(freqs):

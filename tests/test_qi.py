@@ -556,6 +556,12 @@ def test_sidon_estimate_deterministic():
     a = sidon_lower_estimate([3, 4, 5], trials=10, seed=11)
     b = sidon_lower_estimate([3, 4, 5], trials=10, seed=11)
     assert a == b
+    assert a.generator == "numpy-pcg64"
+
+
+def test_sidon_estimate_refuses_a_negative_seed():
+    with pytest.raises(ValidationError, match="^seed must be >= 0, got -1$"):
+        sidon_lower_estimate([3, 4, 5], trials=1, seed=-1)
 
 
 def unpruned_sidon_search(freqs, trials, seed, m_grid):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import signal
+import sys
 import threading
 import time
 from unittest import mock
@@ -76,6 +77,28 @@ def test_random_phase_spec_is_seeded_and_deterministic(tmp_path):
     assert spec1.phase_seed == 7
     assert spec1.phase_generator == "numpy-pcg64"
     assert spec1.coeffs.moduli == (0.8,) * 5
+
+
+@pytest.mark.parametrize("coefficients, path, message", [
+    ({"random_phase": {"r": 0.8, "seed": -1}}, "coefficients.random_phase.seed",
+     "must be an integer >= 0"),
+    ({"random_phase": {"r": 0.8, "seed": 1.0}}, "coefficients.random_phase.seed",
+     "must be an integer >= 0"),
+    ({"constant": {"r": 10 ** 400}}, "coefficients.constant.r", "must be a finite number"),
+    ({"explicit": [{"r": 0.5, "theta": -10 ** 400}]}, "coefficients.explicit[0].theta",
+     "must be a finite number"),
+], ids=["negative seed", "float seed", "r beyond float64", "theta beyond float64"])
+def test_seeds_below_zero_and_integers_beyond_float64_have_a_diagnostic(coefficients, path,
+                                                                         message):
+    doc = {"frequencies": {"rule": "geometric", "base": 4, "count": 1},
+           "coefficients": coefficients}
+    assert validate_document(doc) == [specio.Diagnostic(path, message)]
+    with pytest.raises(SpecFileError, match=message):
+        specio.spec_from_document(doc)
+    # the largest float64 as an integer is still a number
+    doc["frequencies"]["count"], doc["coefficients"] = 2, {"constant": {
+        "r": 0.5, "theta": int(sys.float_info.max)}}
+    assert validate_document(doc) == []
 
 
 def test_modulus_violation_diagnostic_cites_the_entry():
