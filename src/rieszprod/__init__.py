@@ -3,13 +3,14 @@ singularity/equivalence classification, dimension estimates, and
 quasi-independent set combinatorics.
 
 The public names below are loaded on first use (PEP 562), so ``import
-rieszprod`` imports neither numpy nor a layer; ``rieszprod.cli`` runs its
-first lines before numpy loads.  ``rieszprod.cli`` imports ``core`` and
-``specio`` and defers ``analysis``, ``classify`` and ``qi`` (the layers of
-the energy/dimension/interval/holder, classify/witness and qi/mesh/sidon
-commands) with ``importlib.util.LazyLoader``: each is registered in
-``sys.modules`` and on this package, as an import would leave it, and is
-compiled and run on its first attribute access.
+rieszprod`` imports neither numpy nor a layer.  ``rieszprod.cli`` imports
+``core`` and ``specio`` and defers ``analysis``, ``classify`` and ``qi`` (the
+layers of the energy/dimension/interval/holder, classify/witness and
+qi/mesh/sidon commands) with ``importlib.util.LazyLoader``: each is
+registered in ``sys.modules`` and on this package, as an import would leave
+it, and is compiled and run on its first attribute access.  No layer imports
+numpy itself: each takes ``np`` from ``_lazynp``, which imports numpy the
+first time a command touches an array.
 """
 
 import importlib

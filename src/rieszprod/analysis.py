@@ -21,8 +21,7 @@ import functools
 import math
 import sys
 
-import numpy as np
-
+from ._lazynp import np
 from .core import (
     LACUNARY3,
     MAX_EXPANSION_DEPTH,

@@ -24,10 +24,10 @@ sum |c_j|^2 stays finite.
 
 from __future__ import annotations
 
+import itertools
 import math
 
-import numpy as np
-
+from ._lazynp import np
 from .core import (
     LACUNARY3,
     CoefficientSequence,
@@ -138,8 +138,8 @@ def series_gap_l2(a: CoefficientSequence, b: CoefficientSequence,
                   terms: int, declared_tail: str = TAIL_UNKNOWN) -> SeriesEvidence:
     """Partial sums of |a_j - b_j|^2."""
     terms = _check_lengths(a, b, terms)
-    gaps = np.array([abs(a.value(j) - b.value(j)) ** 2 for j in range(terms)])
-    return SeriesEvidence("l2_gap", tuple(np.cumsum(gaps)), declared_tail)
+    gaps = (abs(a.value(j) - b.value(j)) ** 2 for j in range(terms))
+    return SeriesEvidence("l2_gap", tuple(itertools.accumulate(gaps)), declared_tail)
 
 
 def series_gap_weighted(a: CoefficientSequence, b: CoefficientSequence,
@@ -152,11 +152,8 @@ def series_gap_weighted(a: CoefficientSequence, b: CoefficientSequence,
             raise ValidationError(
                 f"weighted gap series undefined: |a_j| = 1 at index {j}",
                 "unit_modulus", j)
-    vals = np.array([
-        abs(a.value(j) - b.value(j)) ** 2 / (1.0 - a.moduli[j])
-        for j in range(terms)
-    ])
-    return SeriesEvidence("weighted_gap", tuple(np.cumsum(vals)), declared_tail)
+    vals = (abs(a.value(j) - b.value(j)) ** 2 / (1.0 - a.moduli[j]) for j in range(terms))
+    return SeriesEvidence("weighted_gap", tuple(itertools.accumulate(vals)), declared_tail)
 
 
 def disc_metric_distance(a: complex, b: complex) -> float:
@@ -183,18 +180,14 @@ def disc_metric_distance(a: complex, b: complex) -> float:
 
 def _series_disc_metric(a: CoefficientSequence, b: CoefficientSequence,
                         terms: int, declared_tail: str) -> SeriesEvidence:
-    vals = np.array([
-        disc_metric_distance(a.value(j), b.value(j)) ** 2 for j in range(terms)
-    ])
-    return SeriesEvidence("disc_metric_gap", tuple(np.cumsum(vals)), declared_tail)
+    vals = (disc_metric_distance(a.value(j), b.value(j)) ** 2 for j in range(terms))
+    return SeriesEvidence("disc_metric_gap", tuple(itertools.accumulate(vals)), declared_tail)
 
 
 def _series_lacunarity(freqs, terms: int, declared_tail: str) -> SeriesEvidence:
-    vals = np.array([
-        (freqs.values[j] / freqs.values[j + 1]) ** 2
-        for j in range(min(terms, len(freqs) - 1))
-    ])
-    return SeriesEvidence("lacunarity", tuple(np.cumsum(vals)), declared_tail)
+    vals = ((freqs.values[j] / freqs.values[j + 1]) ** 2
+            for j in range(min(terms, len(freqs) - 1)))
+    return SeriesEvidence("lacunarity", tuple(itertools.accumulate(vals)), declared_tail)
 
 
 def _is_ratio4_geometric(freqs) -> bool:

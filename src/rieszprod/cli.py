@@ -6,6 +6,8 @@ One module operation per invocation.  Exit codes partition the outcomes:
 reports, whatever the CPUs the process may use; --threads is accepted for old
 command lines and ignored.  ``COMMANDS`` holds one handler per (command, mode);
 a handler writes nothing, and ``run`` writes its report, then its note on stderr.
+numpy is imported by the first array a command touches (``_lazynp``); the
+integer and ``complex`` commands never import it.
 """
 
 from __future__ import annotations
@@ -17,19 +19,7 @@ import os
 import sys
 from typing import NamedTuple
 
-# BLAS gets one thread unless the caller set OPENBLAS_NUM_THREADS: no command
-# makes a BLAS call worth a second one, and OpenBLAS's helper would spin on a
-# CPU the array kernels use (core._split).  numpy reads the variable when it
-# loads; the environment is then put back as it was.
-if "OPENBLAS_NUM_THREADS" in os.environ or "numpy" in sys.modules:
-    import numpy as np
-else:
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy as np
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
-
+from ._lazynp import np
 from .core import (
     PHASE_GENERATOR,
     CapError,

@@ -33,7 +33,7 @@ import threading
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
+from ._lazynp import np
 
 LACUNARY3 = "lacunary3"
 DYADIC = "dyadic"

@@ -45,8 +45,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-import numpy as np
-
+from ._lazynp import np
 from .core import (PHASE_GENERATOR, CapError, Record, SignPattern, ValidationError, _generator,
                    _grid)
 
@@ -277,13 +276,13 @@ def build_qi_matrix(nu: int) -> QiMatrix:
     closed form 2^{nu-1}(2+nu).
     """
     _check_level("matrix", nu, 8)
-    a = np.array([[1, 1, 1], [1, -1, 0]], dtype=np.int64)
-    for level in range(2, nu + 1):
-        rows = a.shape[0]
-        eye = np.eye(rows, dtype=np.int64)
-        zero = np.zeros((rows, rows), dtype=np.int64)
-        a = np.vstack((np.hstack((a, a, eye)), np.hstack((a, -a, zero))))
-    return QiMatrix(nu, tuple(tuple(int(x) for x in row) for row in a))
+    rows = ((1, 1, 1), (1, -1, 0))
+    for _ in range(2, nu + 1):
+        n = len(rows)
+        eye = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
+        rows = (*(r + r + e for r, e in zip(rows, eye)),
+                *(r + tuple(-x for x in r) + (0,) * n for r in rows))
+    return QiMatrix(nu, rows)
 
 
 class DissociatedBase(Record):

@@ -27,8 +27,7 @@ import sys
 import threading
 from pathlib import Path
 
-import numpy as np
-
+from ._lazynp import np
 from .core import (
     LACUNARY3,
     REGIMES,
@@ -295,11 +294,18 @@ def _cell(value) -> str:
 CHUNK_ROWS = 1 << 14  # rows per chunk; a step formats a chunk pair: a few MB of cells
 
 
+def _is_array(chunk) -> bool:
+    """Whether the chunk is a numpy array; no array exists, and numpy is not
+    imported, while numpy is not in ``sys.modules``."""
+    numpy = sys.modules.get("numpy")
+    return numpy is not None and isinstance(chunk, numpy.ndarray)
+
+
 def _constant(chunk) -> bool:
     """Whether every cell of the chunk has the text of its first: float64
     cells equal bit for bit (0.0 and -0.0 differ), or list or tuple items that
     are one object (1, 1.0 and True are three)."""
-    if isinstance(chunk, np.ndarray):
+    if _is_array(chunk):
         if chunk.dtype != np.float64:
             return False
         bits = chunk.view(np.int64)
@@ -316,7 +322,7 @@ def _cells(chunk, fmt: str):
     one object) formats its first cell once."""
     if len(chunk) > 1 and _constant(chunk):
         return list(_cells(chunk[:1], fmt)) * len(chunk)
-    if isinstance(chunk, np.ndarray):
+    if _is_array(chunk):
         if chunk.dtype.kind == "f" and (fmt == "csv" or np.isfinite(chunk).all()):
             return map(repr, chunk.tolist())
         if chunk.dtype.kind in "iuO":
@@ -331,7 +337,7 @@ def _mirror_sign(lower, upper) -> int:
     mirror; -1 needs a finite float64 ``upper`` (no '-nan') or a positive
     int64 one (no '-0', no -2^63), so that each lower cell is its partner's
     text with the sign flipped."""
-    if not isinstance(upper, np.ndarray) or upper.dtype not in (np.float64, np.int64):
+    if not _is_array(upper) or upper.dtype not in (np.float64, np.int64):
         return 0
     bits, mirror = lower.view(np.int64), upper[::-1]
     if np.array_equal(bits, mirror.view(np.int64)):

@@ -5,11 +5,14 @@ antiderivative of the radial metric factor, and the Abel-Dini bounds
 computed directly from the running sums.
 """
 
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rieszprod import (
     CapError,
@@ -26,6 +29,7 @@ from rieszprod import (
     series_gap_l2,
     series_gap_weighted,
 )
+from rieszprod.classify import _series_disc_metric, _series_lacunarity
 
 TWO_PI = 2 * math.pi
 
@@ -93,6 +97,45 @@ def test_series_evidence_requires_monotone_sums():
     with pytest.raises(ValidationError):
         from rieszprod import SeriesEvidence
         SeriesEvidence("bad", (1.0, 0.5))
+
+
+UNIT = st.floats(0.0, 1.0)
+PHASE = st.floats(0.0, TWO_PI, exclude_max=True)
+
+
+@st.composite
+def series_inputs(draw):
+    """Two coefficient sequences (|a_j| < 1, |b_j| <= 1) over one strictly
+    increasing frequency sequence, one to twelve terms."""
+    n = draw(st.integers(1, 12))
+    a = CoefficientSequence(draw(st.lists(st.floats(0.0, 0.999), min_size=n, max_size=n)),
+                            draw(st.lists(PHASE, min_size=n, max_size=n)))
+    b = CoefficientSequence(draw(st.lists(UNIT, min_size=n, max_size=n)),
+                            draw(st.lists(PHASE, min_size=n, max_size=n)))
+    steps = draw(st.lists(st.integers(1, 2 ** 80), min_size=n, max_size=n))
+    return a, b, FrequencySequence(tuple(itertools.accumulate(steps)))
+
+
+@given(series_inputs())
+@example((CoefficientSequence((0.5,), (0.0,)), CoefficientSequence((0.25,), (1.0,)),
+          FrequencySequence((3,))))  # one term, and an empty lacunarity series
+def test_series_partial_sums_equal_np_cumsum_bit_for_bit(inputs):
+    """The partial sums add term by term in the order np.cumsum does."""
+    a, b, freqs = inputs
+    n = len(a)
+    gaps = [abs(a.value(j) - b.value(j)) ** 2 for j in range(n)]
+    terms = {
+        "l2_gap": gaps,
+        "weighted_gap": [gaps[j] / (1.0 - a.moduli[j]) for j in range(n)],
+        "disc_metric_gap": [disc_metric_distance(a.value(j), b.value(j)) ** 2
+                            for j in range(n)],
+        "lacunarity": [(freqs.values[j] / freqs.values[j + 1]) ** 2 for j in range(n - 1)],
+    }
+    for ev in (series_gap_l2(a, b, n), series_gap_weighted(a, b, n),
+               _series_disc_metric(a, b, n, "unknown"), _series_lacunarity(freqs, n, "unknown")):
+        reference = np.cumsum(np.array(terms[ev.name], dtype=float))
+        assert [x.hex() for x in ev.partial_sums] == [x.hex() for x in reference.tolist()]
+        assert len(ev.partial_sums) == (n - 1 if ev.name == "lacunarity" else n)
 
 
 # ---------------------------------------------------------------------------

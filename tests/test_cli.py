@@ -605,13 +605,18 @@ def test_importing_the_package_loads_no_layer_and_no_numpy():
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
 @pytest.mark.parametrize("blas, tasks", [(None, 1), ("2", 2)])
 def test_the_cli_loads_numpy_with_one_blas_thread_unless_told(blas, tasks):
+    """numpy loads at the first array command, not with the cli; it then
+    starts one BLAS thread unless OPENBLAS_NUM_THREADS says otherwise, and
+    leaves the environment as it found it."""
     if tasks > len(os.sched_getaffinity(0)):
         pytest.skip(f"OpenBLAS starts no more threads than the {tasks} CPUs this needs")
-    script = ("import os; before = dict(os.environ); import rieszprod.cli; "
+    script = ("import os, sys; before = dict(os.environ); import rieszprod.cli as cli; "
+              "loaded = 'numpy' in sys.modules; "
+              "cli.main(['qi', 'check', '--values', '1,2,3', '--out', os.devnull]); "
               "print(len(os.listdir('/proc/self/task')), os.environ == before, "
-              "os.environ.get('OPENBLAS_NUM_THREADS'))")
+              "os.environ.get('OPENBLAS_NUM_THREADS'), loaded, 'numpy' in sys.modules)")
     assert run_python(script, OPENBLAS_NUM_THREADS=blas).split() == [str(tasks), "True",
-                                                                     str(blas)]
+                                                                     str(blas), "False", "True"]
 
 
 LAYERS = ("cli", "specio", "core", "analysis", "classify", "qi")
@@ -656,6 +661,50 @@ def test_a_command_compiles_only_the_layers_it_uses(tmp_path, spec_path, entry, 
     layers = compiled_layers(tmp_path, entry, [a.format(spec=spec_path) for a in argv])
     assert {"__init__", "cli", "specio", "core"} <= layers
     assert layers & DEFERRED == deferred
+
+
+# prints a line when the child imports numpy; the CI step on the installed riesz
+# script uses the same hook
+NUMPY_HOOK = ("import sys; sys.addaudithook(lambda event, args: event == 'import' "
+              "and args[0] == 'numpy' and print('imported: numpy', file=sys.stderr)); ")
+RANDOM_PHASE_SPEC = {**GOOD_SPEC, "coefficients": {"random_phase": {"r": 0.5, "seed": 7}}}
+GRAM = ("gram", "--j", "1", "--k", "2", "--depth", "4", "--spec")
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("argv, loads_numpy", [
+    (("validate", "--spec", "{spec}"), False),
+    (("validate", "--spec", "{random}"), False),  # the schema alone: no phase is drawn
+    ((*GRAM, "{spec}"), False),
+    (("classify", "--spec-a", "{a}", "--spec-b", "{b}", "--tails", "{tails}"), False),
+    (("witness", "--spec-a", "{a}", "--spec-b", "{b}"), False),
+    (("qi", "lambda", "--nu", "3"), False),
+    (("qi", "build", "--nu", "3"), False),
+    (("mesh", "count", "--lambda", "{lambda}", "--block", "2"), False),
+    (("sidon", "bound", "--k", "3"), False),
+    (("coeffs", "--spec", "{spec}", "--depth", "3"), True),
+    (("eval", "--spec", "{spec}", "--depth", "3", "--t", "0.5"), True),
+    (("dim", "--spec", "{spec}", "--depth", "5", "--n-min", "1", "--n-max", "2"), True),
+    (("qi", "check", "--values", "1,2,3"), True),
+    (("sidon", "estimate", "--set", "1,3,9", "--seed", "1", "--trials", "5"), True),
+    ((*GRAM, "{random}"), True),  # random phases are drawn from numpy's PCG64
+], ids=["validate", "validate-random-phase", "gram", "classify", "witness", "qi-lambda",
+        "qi-build", "mesh-count", "sidon-bound", "coeffs", "eval", "dim", "qi-check",
+        "sidon-estimate", "gram-random-phase"])
+def test_numpy_loads_only_for_commands_that_use_arrays(tmp_path, spec_path, entry, argv,
+                                                       loads_numpy):
+    _, _, a, _, b, _, tails = classify_argv(tmp_path)
+    random = tmp_path / "random.json"
+    random.write_text(json.dumps(RANDOM_PHASE_SPEC), encoding="utf-8")
+    paths = {"spec": spec_path, "random": str(random), "a": a, "b": b, "tails": tails,
+             "lambda": str(tmp_path / "lambda.csv")}
+    assert main(["qi", "lambda", "--nu", "3", "--out", paths["lambda"]]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_HOOK + ENTRY_POINTS[entry],
+         *(arg.format(**paths) for arg in argv)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert ("imported: numpy" in proc.stderr.splitlines()) is loads_numpy
 
 
 def public_functions(module) -> list[str]:

@@ -347,6 +347,19 @@ def test_qi_matrix_shapes_and_counts():
     assert set(np.unique(m.to_array())) <= {-1, 0, 1}
 
 
+@pytest.mark.parametrize("nu", range(1, 9))
+def test_qi_matrix_equals_the_array_doubling(nu):
+    """Every level against the doubling done with numpy's vstack and hstack."""
+    a = np.array([[1, 1, 1], [1, -1, 0]], dtype=np.int64)
+    for _ in range(2, nu + 1):
+        n = a.shape[0]
+        a = np.vstack((np.hstack((a, a, np.eye(n, dtype=np.int64))),
+                       np.hstack((a, -a, np.zeros((n, n), dtype=np.int64)))))
+    rows = build_qi_matrix(nu).rows
+    assert rows == tuple(map(tuple, a.tolist()))
+    assert all(type(x) is int for row in rows for x in row)
+
+
 def test_qi_matrix_block_structure():
     m2 = build_qi_matrix(2).to_array()
     m1 = build_qi_matrix(1).to_array()
