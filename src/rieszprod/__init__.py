@@ -9,8 +9,8 @@ layers of the energy/dimension/interval/holder, classify/witness and
 qi/mesh/sidon commands) with ``importlib.util.LazyLoader``: each is
 registered in ``sys.modules`` and on this package, as an import would leave
 it, and is compiled and run on its first attribute access.  No layer imports
-numpy itself: each takes ``np`` from ``_lazynp``, which imports numpy the
-first time a command touches an array.
+numpy itself: each imports ``_lazynp`` as ``np``, a module whose PEP 562
+``__getattr__`` imports numpy at the first name a command reads from it.
 """
 
 import importlib

@@ -21,7 +21,7 @@ import functools
 import math
 import sys
 
-from ._lazynp import np
+from . import _lazynp as np
 from .core import (
     LACUNARY3,
     MAX_EXPANSION_DEPTH,
@@ -153,6 +153,14 @@ def alpha_energy_direct(poly: TrigPolynomial, alpha: float,
                         cutoffs, series_verdict(terms))
 
 
+def _check_band(n: int, lam: int, top: int) -> None:
+    """Refuse band n, whose energy weights f^(alpha-1) take frequencies f up
+    to ``top``, once ``top`` is beyond float64."""
+    if top > sys.float_info.max:
+        raise CapError(f"the energy weights of band n={n} need frequencies in float64; "
+                       f"lambda_n = {lam} and they reach {top}")
+
+
 def alpha_energy_band_series(spec: RieszSpec, alpha: float, n_max: int,
                              variant: str = "band_exact") -> EnergyReport:
     """Band-by-band alpha-energy series for a lacunary3 spec.
@@ -182,7 +190,11 @@ def alpha_energy_band_series(spec: RieszSpec, alpha: float, n_max: int,
     if variant == "band_paper":
         prod = 1.0  # prod_{j<n} (1 + |a_j|^2)
         for n in range(n_max + 1):
-            terms.append(lams[n] ** (alpha - 1.0) * moduli[n] ** 2 * prod)
+            term = 0.0  # for a zero modulus; lambda_n may lie beyond float64 then
+            if moduli[n] > 0.0:
+                _check_band(n, lams[n], lams[n])
+                term = lams[n] ** (alpha - 1.0) * moduli[n] ** 2 * prod
+            terms.append(term)
             cutoffs.append(lams[n] + (spec.freqs.prefix_sum(n - 1) if n else 0))
             prod *= 1.0 + moduli[n] ** 2
     elif variant == "band_exact":
@@ -200,12 +212,13 @@ def alpha_energy_band_series(spec: RieszSpec, alpha: float, n_max: int,
         # the squared spectrum of the depth-(n-1) product, for n = 0..n_max
         levels = _levels(spec, n_max, (np.ones(1),), blocks)
         for n, (freqs, (w,)) in zip(range(n_max + 1), levels):
+            cutoffs.append(lams[n] + (int(freqs.max()) if n else 0))
             term = 0.0  # for a zero modulus; lambda_n may not fit in int64 then
             if moduli[n] > 0.0:
+                _check_band(n, lams[n], cutoffs[-1])
                 term = 2.0 * (moduli[n] ** 2 / 4.0) * float(
                     np.sum(w * (lams[n] + freqs).astype(float) ** (alpha - 1.0)))
             terms.append(term)
-            cutoffs.append(lams[n] + (int(freqs.max()) if n else 0))
     else:
         raise ValidationError(f"unknown variant {variant!r}", "variant")
     partial = tuple(map(float, np.cumsum(terms)))

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from ._lazynp import np
+from . import _lazynp as np
 from .core import (
     LACUNARY3,
     CoefficientSequence,

@@ -6,8 +6,8 @@ One module operation per invocation.  Exit codes partition the outcomes:
 reports, whatever the CPUs the process may use; --threads is accepted for old
 command lines and ignored.  ``COMMANDS`` holds one handler per (command, mode);
 a handler writes nothing, and ``run`` writes its report, then its note on stderr.
-numpy is imported by the first array a command touches (``_lazynp``); the
-integer and ``complex`` commands never import it.
+numpy is imported by the first name a command reads from ``np`` (the
+``_lazynp`` module's hook); the integer and ``complex`` commands never import it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import os
 import sys
 from typing import NamedTuple
 
-from ._lazynp import np
+from . import _lazynp as np
 from .core import (
     PHASE_GENERATOR,
     CapError,

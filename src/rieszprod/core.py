@@ -33,7 +33,7 @@ import threading
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from ._lazynp import np
+from . import _lazynp as np
 
 LACUNARY3 = "lacunary3"
 DYADIC = "dyadic"

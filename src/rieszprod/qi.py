@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from ._lazynp import np
+from . import _lazynp as np
 from .core import (PHASE_GENERATOR, CapError, Record, SignPattern, ValidationError, _generator,
                    _grid)
 
@@ -92,10 +92,6 @@ class IntVectorSet(Record):
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    @property
-    def dim(self) -> int:
-        return len(self.elements[0]) if self.elements else 1
 
     @property
     def max_abs(self) -> int:
@@ -562,7 +558,13 @@ def sidon_union_bound(k: int) -> float:
     k = int(k)
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}", "count")
-    return 3.0 * math.sqrt(3.0) * k * math.sqrt(2.0 * k - 1.0)
+    try:
+        bound = 3.0 * math.sqrt(3.0) * k * math.sqrt(2.0 * k - 1.0)
+    except OverflowError:  # k itself is beyond float64
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise CapError(f"the union bound for k = {k} is beyond float64")
+    return bound
 
 
 class SidonEstimate(Record):
@@ -621,6 +623,10 @@ def sidon_lower_estimate(frequencies: Iterable[int], trials: int = 200,
         raise CapError(
             f"grid budget exceeded: {k} frequencies x {m_grid} nodes > "
             f"{SIDON_GRID_BUDGET}")
+    if trials * k * m_grid > 200 * SIDON_GRID_BUDGET:  # the default trials at the budget
+        raise CapError(
+            f"search budget exceeded: {trials} trials x {k} frequencies x {m_grid} nodes > "
+            f"{200 * SIDON_GRID_BUDGET}")
     rng = _generator(seed)
     t = _grid(m_grid)
     basis = np.exp(1j * np.outer(np.array(freqs, dtype=float), t))

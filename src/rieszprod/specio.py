@@ -27,7 +27,7 @@ import sys
 import threading
 from pathlib import Path
 
-from ._lazynp import np
+from . import _lazynp as np
 from .core import (
     LACUNARY3,
     REGIMES,

@@ -117,6 +117,21 @@ def test_zero_coefficient_beyond_int64_keeps_int64_frequencies():
     assert 0.0 < interval_measure(spec, 2, 0.5, 0.1) < 1.0
 
 
+def test_band_series_refuse_frequencies_beyond_float64():
+    # lambda_n = 2^(600 n): the ratios stay finite, lambda_2 is beyond float64
+    freqs = FrequencySequence.geometric(2 ** 600, 3)
+    spec = RieszSpec(freqs, CoefficientSequence((0.5, 0.4, 0.3), (0.0,) * 3))
+    zero = RieszSpec(freqs, CoefficientSequence((0.5, 0.4, 0.0), (0.0,) * 3))
+    for variant in ("band_paper", "band_exact"):
+        assert alpha_energy_band_series(spec, 0.5, 1, variant).terms[1] > 0.0
+        with pytest.raises(CapError, match=f"band n=2 .*; lambda_n = {2 ** 1200}"):
+            alpha_energy_band_series(spec, 0.5, 2, variant)
+        with pytest.raises(CapError, match="band n=2"):  # bisection over the band series
+            energy_dimension_bound(spec, variant)
+        # a band with a zero modulus still adds 0.0
+        assert alpha_energy_band_series(zero, 0.5, 2, variant).terms[2] == 0.0
+
+
 def test_energy_band_growth_rate_for_full_modulus():
     # exact band masses grow by (1+1/2) per band and the weight by 4^(alpha-1)
     spec = geometric_spec(4, 12)

@@ -21,7 +21,7 @@ import rieszprod
 from rieszprod import analysis, cli, qi
 from rieszprod.cli import COMMANDS, build_parser, main
 from rieszprod.core import GRID_BUDGET, CapError
-from rieszprod.qi import MESH_GENERATOR_CAP
+from rieszprod.qi import MESH_GENERATOR_CAP, SIDON_GRID_BUDGET
 from rieszprod.specio import load_spec, validate_document
 
 GOOD_SPEC = {
@@ -81,6 +81,9 @@ GRID_FREQUENCIES = [2, 10, 10 ** 20, 10 ** 24, 10 ** 29]
 GRID_SPEC = {**HUGE_SPEC, "frequencies": {"rule": "explicit", "values": GRID_FREQUENCIES}}
 # a frequency beyond the float64 range
 BEYOND_FLOAT_SPEC = {**HUGE_SPEC, "frequencies": {"rule": "explicit", "values": [1, 10 ** 400]}}
+# lambda_2 = 2^1200 beyond the float64 range, with finite ratios
+GEOMETRIC_BEYOND_FLOAT_SPEC = {**HUGE_SPEC,
+                               "frequencies": {"rule": "geometric", "base": 2 ** 600, "count": 3}}
 # int64 frequencies whose phases m*t near t = 0.5 reach about 5 * 10^16 > 2^52
 PHASE_FREQUENCIES = [1, 10, 10 ** 15, 10 ** 17]
 PHASE_SPEC = {**HUGE_SPEC, "frequencies": {"rule": "explicit", "values": PHASE_FREQUENCIES}}
@@ -621,6 +624,19 @@ def test_the_cli_loads_numpy_with_one_blas_thread_unless_told(blas, tasks):
 
 LAYERS = ("cli", "specio", "core", "analysis", "classify", "qi")
 DEFERRED = {"analysis", "classify", "qi"}
+
+
+def test_every_layer_keeps_reading_numpy_through_the_module_hook():
+    """An array command leaves each layer's ``np`` bound to ``_lazynp``, which
+    then holds numpy's values under the names read."""
+    script = ("import os, sys, rieszprod._lazynp as lazy, rieszprod.cli as cli; "
+              "cli.main(['qi', 'check', '--values', '1,2,3', '--out', os.devnull]); "
+              "import numpy; "
+              f"print([sys.modules['rieszprod.' + layer].np is lazy for layer in {LAYERS!r}], "
+              "lazy.ndarray is numpy.ndarray)")
+    assert run_python(script) == f"{[True] * len(LAYERS)} True\n"
+
+
 # prints the file of every source the child compiles; the CI step on the installed
 # riesz script uses the same hook
 COMPILE_HOOK = ("import sys; sys.addaudithook(lambda event, args: event == 'compile' "
@@ -914,6 +930,10 @@ REFUSALS = [
      f"|m| reaches {10 ** 400 + 1}"),
     (BEYOND_FLOAT_SPEC, ("holder", "--depth", "1", "--t", "0.5", "--scales", "0.5"), 3,
      f"prefix sum {1 + 10 ** 400} >= 2^62"),
+    (GEOMETRIC_BEYOND_FLOAT_SPEC, ("energy", "--alpha", "0.25", "--variant", "band_paper"), 3,
+     f"band n=2 need frequencies in float64; lambda_n = {2 ** 1200}"),
+    (GEOMETRIC_BEYOND_FLOAT_SPEC, ("energy", "--alpha", "0.25", "--variant", "band_exact"), 3,
+     f"band n=2 need frequencies in float64; lambda_n = {2 ** 1200}"),
 ]
 
 
@@ -941,6 +961,9 @@ SPECLESS_REFUSALS = [
     (("sidon", "estimate", "--set", ",", "--seed", "1"), 2,
      "expected comma-separated integers, got ','"),
     (("sidon", "estimate", "--set", "1,3,9", "--seed", "-1"), 2, "seed must be >= 0, got -1"),
+    # bounds beyond float64: inf at k = 10^210, k itself beyond it at 10^400
+    (("sidon", "bound", "--k", str(10 ** 210)), 3, f"k = {10 ** 210} is beyond float64"),
+    (("sidon", "bound", "--k", str(10 ** 400)), 3, f"k = {10 ** 400} is beyond float64"),
 ]
 
 
@@ -951,6 +974,16 @@ def test_specless_argument_checks_and_refusals(argv, exit_code, named):
     assert code == exit_code and out == ""
     assert err.startswith("invalid: " if exit_code == 2 else "refused: ")
     assert named in err
+
+
+def test_sidon_estimate_refuses_more_trials_than_its_search_budget():
+    # without the check this search runs for ages: the timeout makes that a failure
+    trials = 10 ** 400
+    code, out, err = run_child("sidon", "estimate", "--set", "1,3,9", "--seed", "1",
+                               "--trials", str(trials), timeout=60)
+    assert (code, out) == (3, "")
+    assert err == (f"refused: search budget exceeded: {trials} trials x 3 frequencies x "
+                   f"1024 nodes > {200 * SIDON_GRID_BUDGET}\n")
 
 
 @pytest.mark.parametrize("doc, row", [
@@ -1057,6 +1090,7 @@ def fuzz_files(tmp_path_factory):
         return str(root / name)
 
     docs = {"good": GOOD_SPEC, "huge": HUGE_SPEC, "beyond": BEYOND_FLOAT_SPEC,
+            "geometric_beyond": GEOMETRIC_BEYOND_FLOAT_SPEC,
             "dyadic": {"frequencies": {"rule": "geometric", "base": 2, "count": 6},
                        "coefficients": {"constant": {"r": 0.5}}, "regime": "dyadic"},
             "bad": {"frequencies": {"rule": "explicit", "values": [1, 2]},
@@ -1080,8 +1114,10 @@ def fuzz_files(tmp_path_factory):
     }
 
 
-# small indices first: the fuzz specs have at most 7 frequencies
-FUZZ_INTEGERS = (st.integers(0, 6) | st.integers(-5, 40)).map(str)
+# small indices first: the fuzz specs have at most 7 frequencies; then sizes whose
+# floats are infinite (10^210 squared) or that are beyond float64 themselves
+FUZZ_INTEGERS = (st.integers(0, 6) | st.integers(-5, 40)
+                 | st.sampled_from([10 ** 210, 10 ** 400])).map(str)
 FUZZ_POINT = st.sampled_from(["0", "0.25", "0.5", "0.75", "-1.25", "3", "1e300",
                               "nan", "inf", "-inf"])
 FUZZ_VALUES = {

@@ -705,6 +705,35 @@ def test_fourier_coefficient_stability_rule():
     assert fourier_coefficient(spec, 100, 7).stable
 
 
+def test_fourier_coefficient_dyadic_matches_fft_and_flags_the_values_that_stay():
+    # frequencies collide in the dyadic regime: the reference coefficients come
+    # from an FFT of the product sampled above the Nyquist rate
+    rng = np.random.default_rng(37)
+    lams = tuple(2 ** j for j in range(6))
+    spec = RieszSpec(FrequencySequence(lams),
+                     CoefficientSequence(tuple(rng.uniform(0.2, 0.9, 6)),
+                                         tuple(rng.uniform(0.0, TWO_PI, 6))), "dyadic")
+    nodes = 256  # above twice the largest |m| read, 66
+    t = TWO_PI * np.arange(nodes) / nodes
+    density = np.ones(nodes)
+    final = {m: fourier_coefficient(spec, m, 5).value for m in range(-66, 67)}
+    for depth, lam in enumerate(lams):
+        density *= 1.0 + (spec.coefficient(depth) * np.exp(1j * lam * t)).real
+        reference = np.fft.fft(density) / nodes
+        top = 2 * lam - 1  # the sum of lambda_0..lambda_depth
+        for m in range(-top - 3, top + 4):
+            fc = fourier_coefficient(spec, m, depth)
+            assert abs(fc.value - reference[m % nodes]) < 1e-13, (depth, m)
+            # the next frequency clears the prefix sum by 1: only m = 0 stays
+            # before the final depth
+            assert fc.stable == (m == 0 or depth == 5), (depth, m)
+            if fc.stable:
+                assert abs(fc.value - final[m]) < 1e-15, (depth, m)
+            elif abs(m) <= top:
+                # m = lambda_{depth+1} - (lambda_{depth+1} - m) gains patterns
+                assert abs(fc.value - final[m]) > 1e-6, (depth, m)
+
+
 def test_spectrum_bands_structure():
     spec = geometric_spec(4, 7)
     bands = spectrum_bands(spec, 2)
