@@ -102,27 +102,26 @@ class HolderSample(Record):
     excluded: tuple[tuple[float, str], ...]
 
 
-def series_verdict(terms, tolerance: float = RATIO_TOLERANCE,
-                   window: int = RATIO_WINDOW) -> str:
+def series_verdict(terms) -> str:
     """Ratio-test verdict on the tail of a nonnegative series.
 
-    Looks at consecutive ratios over the last ``window`` computed terms:
-    all below 1 - tolerance is convergent, all above 1 + tolerance is
-    divergent, anything else (including too few terms) is undecided.  An
-    identically zero tail is convergent.
+    Looks at consecutive ratios over the last ``RATIO_WINDOW`` computed
+    terms: all below 1 - ``RATIO_TOLERANCE`` is convergent, all above
+    1 + ``RATIO_TOLERANCE`` is divergent, anything else (including too few
+    terms) is undecided.  An identically zero tail is convergent.
     """
     terms = [float(t) for t in terms]
     if not terms:
         return VERDICT_CONVERGENT
-    tail = terms[-window:]
+    tail = terms[-RATIO_WINDOW:]
     if all(t == 0.0 for t in tail):
         return VERDICT_CONVERGENT
-    if len(tail) < window or any(t == 0.0 for t in tail):
+    if len(tail) < RATIO_WINDOW or any(t == 0.0 for t in tail):
         return VERDICT_UNDECIDED
     ratios = [tail[i + 1] / tail[i] for i in range(len(tail) - 1)]
-    if all(r <= 1.0 - tolerance for r in ratios):
+    if all(r <= 1.0 - RATIO_TOLERANCE for r in ratios):
         return VERDICT_CONVERGENT
-    if all(r >= 1.0 + tolerance for r in ratios):
+    if all(r >= 1.0 + RATIO_TOLERANCE for r in ratios):
         return VERDICT_DIVERGENT
     return VERDICT_UNDECIDED
 
@@ -226,15 +225,15 @@ def alpha_energy_band_series(spec: RieszSpec, alpha: float, n_max: int,
                         series_verdict(terms))
 
 
-def energy_dimension_bound(spec: RieszSpec, variant: str = "band_exact",
-                           n_max: int | None = None) -> float:
+def energy_dimension_bound(spec: RieszSpec, variant: str = "band_exact") -> float:
     """Dimension lower bound from the alpha-energy criterion.
 
     For geometric frequencies of ratio q and constant modulus r the
     threshold is closed form: 1 - log(1+r^2)/log q for the band_paper
     weights and 1 - log(1+r^2/2)/log q for the exact band masses.  For
     anything else the supremum of certifiably convergent alpha is located
-    by bisection to 1e-4 on the band series verdicts.
+    by bisection to 1e-4 on the verdicts of the band series up to
+    n = min(last index, 12).
     """
     if variant not in ("band_paper", "band_exact"):
         raise ValidationError(f"unknown variant {variant!r}", "variant")
@@ -246,8 +245,7 @@ def energy_dimension_bound(spec: RieszSpec, variant: str = "band_exact",
             return 1.0
         bump = 1.0 + r * r if variant == "band_paper" else 1.0 + r * r / 2.0
         return 1.0 - math.log(bump) / math.log(q)
-    if n_max is None:
-        n_max = min(spec.last_index, 12)
+    n_max = min(spec.last_index, 12)
     lo, hi = 1e-4, 1.0 - 1e-4
 
     def convergent(alpha: float) -> bool:

@@ -85,10 +85,10 @@ def _comma_floats(text: str) -> list[float]:
     return values
 
 
-def _parent(*flags, **kwargs) -> argparse.ArgumentParser:
+def _parent(*flags, required=True, **kwargs) -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     for flag in flags:
-        parent.add_argument(flag, required=True, **kwargs)
+        parent.add_argument(flag, required=required, **kwargs)
     return parent
 
 
@@ -96,11 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="output file (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for stochastic commands (mandatory there)")
     common.add_argument("--threads", type=int, default=1,
                         help="accepted for old command lines and ignored")
     spec, depth = _parent("--spec"), _parent("--depth", type=int)
+    seed = _parent("--seed", type=int, required=False, help="mandatory in the stochastic mode")
     pair = _parent("--spec-a", "--spec-b")
 
     parser = argparse.ArgumentParser(prog="riesz", description="Riesz products: expansion, "
@@ -132,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=int, default=None,
                    help="frequency cutoff for the direct variant")
 
-    p = command("dim", "dimension bracket", spec, depth)
+    p = command("dim", "dimension bracket", spec, depth, seed)
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--method", choices=("quadrature", "monte_carlo"), default="quadrature")
@@ -158,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", help="comma-separated integers (check)")
     p.add_argument("--method", choices=("auto", "brute", "mitm"), default="auto")
     p.add_argument("--nu", type=int, help="construction level (build / lambda)")
-    p.add_argument("--emit", dest="out", help="alias for --out")
 
     p = command("mesh", "mesh intersection counts")
     p.add_argument("mode", choices=("count",))
@@ -167,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block", type=int, required=True, help="generator block level")
     p.add_argument("--k", type=int, default=None, help="pad the generator block to k generators")
 
-    p = command("sidon", "Sidon constant bounds")
+    p = command("sidon", "Sidon constant bounds", seed)
     p.add_argument("mode", choices=("bound", "estimate"))
     p.add_argument("--k", type=int, help="number of quasi-independent pieces (bound)")
     p.add_argument("--set", dest="values", help="comma-separated frequencies (estimate)")
@@ -275,6 +273,7 @@ def _dim(args) -> Report:
 def _interval(args) -> Report:
     spec = load_spec(args.spec)
     ts, ss = _comma_floats(args.t), _comma_floats(args.s)
+    _check_grid(len(ts) * len(ss), "the interval table")
     pairs = [(t, s) for t in ts for s in ss]
     values = [(analysis.interval_measure(spec, args.depth, t, s),
                analysis.interval_upper_bound(spec, args.n, args.depth, t, s)) for t, s in pairs]

@@ -42,6 +42,8 @@ matches are verified with exact integers.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from typing import Iterable, Sequence
 
@@ -422,17 +424,20 @@ class Mesh(Record):
     def k(self) -> int:
         return len(self.generators)
 
+    @functools.cached_property
+    def _reach_table(self) -> tuple[list[tuple[int, int]], list[int]]:
+        """The (|g|, bound) pairs, descending by |g|, and the maximal reach
+        sum bound * |g| of the pairs after each."""
+        pairs = sorted(((abs(g), b) for g, b in zip(self.generators, self.bounds)),
+                       reverse=True)
+        reaches = list(itertools.accumulate((g * b for g, b in reversed(pairs)), initial=0))
+        return pairs, reaches[-2::-1]
+
     def is_dissociated(self) -> bool:
         """Growth test making bounded representations unique: sorted by
         absolute value, each |g| must exceed twice the maximal reach of
         everything below it."""
-        pairs = sorted((abs(g), b) for g, b in zip(self.generators, self.bounds))
-        reach = 0
-        for g, b in pairs:
-            if g <= 2 * reach:
-                return False
-            reach += b * g
-        return True
+        return all(g > 2 * reach for (g, _), reach in zip(*self._reach_table))
 
 
 class MeshIntersection(Record):
@@ -481,13 +486,7 @@ def mesh_intersection(elements, mesh: Mesh) -> MeshIntersection:
         values = list(elements.gamma)
     else:
         values = [int(x) for x in elements]
-    pairs = sorted(((abs(g), b) for g, b in zip(mesh.generators, mesh.bounds)),
-                   reverse=True)
-    reaches = [0] * len(pairs)
-    total = 0
-    for i in range(len(pairs) - 1, -1, -1):
-        reaches[i] = total
-        total += pairs[i][0] * pairs[i][1]
+    pairs, reaches = mesh._reach_table
     dissociated = mesh.is_dissociated()
     if not dissociated and mesh.k > MESH_EXHAUSTIVE_CAP:
         raise CapError(
@@ -615,10 +614,11 @@ def sidon_lower_estimate(frequencies: Iterable[int], trials: int = 200,
     if degree < 1:
         raise ValidationError("need a nonzero frequency", "degree")
     m_grid = grid_size if grid_size is not None else max(64 * degree, 1024)
-    if m_grid <= math.pi * degree:
+    pi_num, pi_den = math.pi.as_integer_ratio()  # exact: degree may be beyond float64
+    if m_grid * pi_den <= pi_num * degree:
         raise ValidationError(
-            f"grid size {m_grid} refused: must exceed pi * degree = "
-            f"{math.pi * degree:.1f} for certification", "grid")
+            f"grid size {m_grid} refused: must exceed pi * degree for certification, "
+            f"degree = {degree}", "grid")
     if k * m_grid > SIDON_GRID_BUDGET:
         raise CapError(
             f"grid budget exceeded: {k} frequencies x {m_grid} nodes > "

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rieszprod
-from rieszprod import analysis, cli, qi
+from rieszprod import analysis, cli, core, qi
 from rieszprod.cli import COMMANDS, build_parser, main
 from rieszprod.core import GRID_BUDGET, CapError
 from rieszprod.qi import MESH_GENERATOR_CAP, SIDON_GRID_BUDGET
@@ -132,12 +132,12 @@ def test_qi_check_reports_witness(capsys):
 
 def test_qi_build_and_lambda_roundtrip_through_mesh(capsys, tmp_path):
     matrix_csv = tmp_path / "matrix.csv"
-    code = main(["qi", "build", "--nu", "2", "--emit", str(matrix_csv)])
+    code = main(["qi", "build", "--nu", "2", "--out", str(matrix_csv)])
     assert code == 0
     assert len(matrix_csv.read_text().splitlines()) == 2 + 8  # config+header+cols
 
     lambda_csv = tmp_path / "lambda.csv"
-    code = main(["qi", "lambda", "--nu", "3", "--emit", str(lambda_csv)])
+    code = main(["qi", "lambda", "--nu", "3", "--out", str(lambda_csv)])
     assert code == 0
     capsys.readouterr()
 
@@ -159,7 +159,7 @@ def test_mesh_count_rejects_a_bad_element_row(tmp_path):
 
 def test_mesh_padded_generators_keep_count(capsys, tmp_path):
     lambda_csv = tmp_path / "lambda.csv"
-    main(["qi", "lambda", "--nu", "2", "--emit", str(lambda_csv)])
+    main(["qi", "lambda", "--nu", "2", "--out", str(lambda_csv)])
     capsys.readouterr()
     code, _, err = run_cli(capsys, "mesh", "count", "--lambda", str(lambda_csv),
                            "--block", "2", "--k", "6")
@@ -216,6 +216,24 @@ def test_sidon_estimate_requires_seed(capsys):
     code, _, err = run_cli(capsys, "sidon", "estimate", "--set", "1,4,16")
     assert code == 2
     assert "seed" in err
+
+
+BEYOND_FLOAT = 10 ** 400
+
+
+@pytest.mark.parametrize("values, grid, exit_code, message", [
+    (f"1,{BEYOND_FLOAT}", "2000", 2, "invalid: grid size 2000 refused: must exceed pi * "
+                                     f"degree for certification, degree = {BEYOND_FLOAT}"),
+    (str(BEYOND_FLOAT), "2000", 2, f"degree = {BEYOND_FLOAT}"),
+    (f"1,{BEYOND_FLOAT}", None, 3, f"refused: grid budget exceeded: 2 frequencies x "
+                                   f"{64 * BEYOND_FLOAT} nodes > {SIDON_GRID_BUDGET}"),
+    (str(BEYOND_FLOAT), None, 3, f"1 frequencies x {64 * BEYOND_FLOAT} nodes"),
+], ids=["1,10^400 --grid", "10^400 --grid", "1,10^400", "10^400"])
+def test_sidon_estimate_of_a_degree_beyond_float64(capsys, values, grid, exit_code, message):
+    code, out, err = run_cli(capsys, "sidon", "estimate", "--set", values, "--seed", "1",
+                             *(("--grid", grid) if grid else ()))
+    assert (code, out) == (exit_code, "")
+    assert err.count("\n") == 1 and message in err
 
 
 def test_validate_good_and_bad(capsys, spec_path, tmp_path):
@@ -331,6 +349,16 @@ def test_interval_command_matches_per_pair_readers(capsys, spec_path):
     assert [(measure, bound) for _, _, measure, bound in rows] == [
         (rieszprod.interval_measure(spec, 6, t, s),
          rieszprod.interval_upper_bound(spec, 2, 6, t, s)) for t, s, _, _ in rows]
+
+
+def test_interval_table_past_the_grid_budget_is_refused_before_any_mass(
+        monkeypatch, capsys, spec_path):
+    monkeypatch.setattr(core, "GRID_BUDGET", 3)
+    monkeypatch.setattr(analysis, "interval_measure", None)  # a call would fail
+    code, out, err = run_cli(capsys, "interval", "--spec", spec_path, "--depth", "1",
+                             "--t", "0.5,1.5", "--s", "0.1,0.2")
+    assert (code, out, err) == (
+        3, "", "refused: the interval table needs 4 points; the grid budget is 3\n")
 
 
 def test_dim_command_quadrature(capsys, spec_path):
@@ -846,14 +874,25 @@ def test_stdout_holds_only_the_report_and_stderr_the_note(tmp_path, spec_path, f
             assert stdout.startswith(b"# config: {"), argv
 
 
-def test_emit_is_out(tmp_path):
-    for flag in ("emit", "out"):
-        (tmp_path / flag).mkdir()
-        assert run_child("qi", "build", "--nu", "2", f"--{flag}", "matrix.csv",
-                         cwd=tmp_path / flag) == (0, "", "")
-    emitted = (tmp_path / "emit" / "matrix.csv").read_bytes()
-    assert emitted == (tmp_path / "out" / "matrix.csv").read_bytes()
-    assert b'"out": "matrix.csv"' in emitted
+def test_options_are_declared_only_where_they_act():
+    declared = {name: {flag for action in parser._actions for flag in action.option_strings}
+                for name, parser in _subcommands().items()}
+    assert {name for name, flags in declared.items() if "--seed" in flags} == {"dim", "sidon"}
+    assert not any("--emit" in flags for flags in declared.values())
+    assert sum(len(flags - {"-h", "--help"}) for flags in declared.values()) == 99
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--spec", "SPEC", "--depth", "1", "--seed", "1"),
+    ("validate", "--spec", "SPEC", "--seed", "1"),
+    ("qi", "build", "--nu", "2", "--emit", "matrix.csv"),
+], ids=["coeffs --seed", "validate --seed", "qi build --emit"])
+def test_an_option_of_another_command_is_a_bad_argument(tmp_path, spec_path, argv):
+    code, out, err = run_child(*(spec_path if arg == "SPEC" else arg for arg in argv),
+                               cwd=tmp_path)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+    assert not (tmp_path / "matrix.csv").exists()
 
 
 MONTE_CARLO = ("dim", "--n-min", "1", "--n-max", "1", "--depth", "6",
@@ -1124,8 +1163,8 @@ FUZZ_VALUES = {
     "t": st.lists(FUZZ_POINT, min_size=1, max_size=3).map(",".join),
     "s": st.lists(FUZZ_POINT, min_size=1, max_size=3).map(",".join),
     "scales": st.lists(FUZZ_POINT, min_size=1, max_size=3).map(",".join),
-    "values": st.lists(st.integers(-5, 40), min_size=1, max_size=8).map(
-        lambda xs: ",".join(map(str, xs))),
+    "values": st.lists(st.integers(-5, 40) | st.sampled_from([10 ** 210, 10 ** 400]),
+                       min_size=1, max_size=8).map(lambda xs: ",".join(map(str, xs))),
 }
 
 

@@ -454,6 +454,45 @@ def test_mesh_block_intersection_is_exactly_column_count():
         assert set(result.members) == set(lam.block_values(nu))
 
 
+def reference_reach_table(mesh):
+    """The (|g|, bound) pairs, descending, and the reach after each, by a loop."""
+    pairs = sorted(((abs(g), b) for g, b in zip(mesh.generators, mesh.bounds)),
+                   reverse=True)
+    reaches = [0] * len(pairs)
+    total = 0
+    for i in range(len(pairs) - 1, -1, -1):
+        reaches[i] = total
+        total += pairs[i][0] * pairs[i][1]
+    return pairs, reaches
+
+
+def reference_is_dissociated(mesh) -> bool:
+    """The growth test by a loop over the pairs in ascending order."""
+    reach = 0
+    for g, b in sorted((abs(g), b) for g, b in zip(mesh.generators, mesh.bounds)):
+        if g <= 2 * reach:
+            return False
+        reach += b * g
+    return True
+
+
+# signed multiples of powers of 4: ties in |g| and growth near 2 * reach are common
+GROWING = st.tuples(st.sampled_from([-1, 1]), st.integers(1, 3), st.integers(0, 10)).map(
+    lambda t: t[0] * t[1] * 4 ** t[2])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(GROWING | st.integers(-50, 50).filter(bool), st.integers(1, 3)),
+                min_size=1, max_size=10, unique_by=lambda pair: pair[0]))
+@example([(5, 1), (-5, 2)])  # a tie in |g|
+@example([(1, 1), (2, 1)])  # 2 = 2 * reach: not dissociated
+@example([(1, 1), (-3, 1), (9, 1)])  # each |g| just above 2 * reach
+def test_mesh_reach_table_matches_the_loops(entries):
+    mesh = Mesh(*zip(*entries))
+    assert mesh._reach_table == reference_reach_table(mesh)
+    assert mesh.is_dissociated() == reference_is_dissociated(mesh)
+
+
 def test_mesh_greedy_agrees_with_exhaustive():
     rng = np.random.default_rng(23)
     base = build_dissociated_base(2)
@@ -467,13 +506,7 @@ def test_mesh_greedy_agrees_with_exhaustive():
     loose = Mesh(tuple(gens), (1,) * len(gens))
     exhaustive_members = []
     from rieszprod.qi import _dfs_member
-    pairs = sorted(((abs(g), b) for g, b in zip(loose.generators, loose.bounds)),
-                   reverse=True)
-    reaches = [0] * len(pairs)
-    total = 0
-    for i in range(len(pairs) - 1, -1, -1):
-        reaches[i] = total
-        total += pairs[i][0] * pairs[i][1]
+    pairs, reaches = reference_reach_table(loose)
     for x in probe:
         if _dfs_member(x, pairs, reaches):
             exhaustive_members.append(x)
