@@ -43,7 +43,7 @@ for band in spectrum_bands(spec, 4):
     lo_bound = 2 * 4 ** band.index / 3
     hi_bound = 4 * 4 ** band.index / 3
     print(f"  band {band.index}: [{band.lo}, {band.hi}]  in  "
-          f"]{lo_bound:.1f}, {hi_bound:.1f}[  ({len(band.freqs)} frequencies)")
+          f"]{lo_bound:.1f}, {hi_bound:.1f}[  ({band.count} frequencies)")
 
 print()
 print("selected coefficients (with stability under deeper truncation):")

@@ -18,6 +18,7 @@ feeds each estimate is an explicit argument, never a hidden global.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 
@@ -147,8 +148,7 @@ def alpha_energy_direct(poly: TrigPolynomial, alpha: float,
         raise CapError(f"the energy weight |m|^(alpha-1) needs |m| in float64; "
                        f"|m| reaches {cutoffs[-1]}")
     terms = tuple(w * m ** (alpha - 1.0) for w, m in zip(weights.tolist(), cutoffs))
-    partial = tuple(np.cumsum(terms)) if terms else ()
-    return EnergyReport(alpha, "direct", terms, tuple(map(float, partial)),
+    return EnergyReport(alpha, "direct", terms, tuple(itertools.accumulate(terms)),
                         cutoffs, series_verdict(terms))
 
 
@@ -220,9 +220,8 @@ def alpha_energy_band_series(spec: RieszSpec, alpha: float, n_max: int,
             terms.append(term)
     else:
         raise ValidationError(f"unknown variant {variant!r}", "variant")
-    partial = tuple(map(float, np.cumsum(terms)))
-    return EnergyReport(alpha, variant, tuple(terms), partial, tuple(cutoffs),
-                        series_verdict(terms))
+    return EnergyReport(alpha, variant, tuple(terms), tuple(itertools.accumulate(terms)),
+                        tuple(cutoffs), series_verdict(terms))
 
 
 def energy_dimension_bound(spec: RieszSpec, variant: str = "band_exact") -> float:

@@ -85,6 +85,16 @@ def _comma_floats(text: str) -> list[float]:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a command line (unknown command or option, missing or malformed
+    argument) with one ``invalid:`` line and exit 2, as every diagnostic; its
+    subparsers are of this class too."""
+
+    def error(self, message: str):
+        _to_stderr(f"invalid: {message}")
+        sys.exit(EXIT_VALIDATION)
+
+
 def _parent(*flags, required=True, **kwargs) -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     for flag in flags:
@@ -102,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     seed = _parent("--seed", type=int, required=False, help="mandatory in the stochastic mode")
     pair = _parent("--spec-a", "--spec-b")
 
-    parser = argparse.ArgumentParser(prog="riesz", description="Riesz products: expansion, "
-                                     "classification, dimension, quasi-independent sets")
+    parser = _Parser(prog="riesz", description="Riesz products: expansion, "
+                     "classification, dimension, quasi-independent sets")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, help: str, *parents) -> argparse.ArgumentParser:
@@ -227,7 +237,7 @@ def _eval(args) -> Report:
 def _spectrum(args) -> Report:
     bands = spectrum_bands(load_spec(args.spec), args.depth)
     return Report(["band", "min_freq", "max_freq", "count"],
-                  list(zip(*[(b.index, b.lo, b.hi, len(b.freqs)) for b in bands])))
+                  list(zip(*[(b.index, b.lo, b.hi, b.count) for b in bands])))
 
 
 def _convolve(args) -> Report:
@@ -253,9 +263,9 @@ def _energy(args) -> Report:
         report = analysis.alpha_energy_direct(poly, args.alpha, cutoff)
     else:
         report = analysis.alpha_energy_band_series(spec, args.alpha, n_max, args.variant)
-    sums = np.array(report.partial_sums, dtype=float)
-    return Report(["alpha", "partial_sum", "verdict"], [np.full(sums.size, report.alpha), sums,
-                  [report.verdict] * sums.size], {"variant": report.variant})
+    n = len(report.partial_sums)
+    return Report(["alpha", "partial_sum", "verdict"], [[report.alpha] * n, report.partial_sums,
+                  [report.verdict] * n], {"variant": report.variant})
 
 
 def _dim(args) -> Report:

@@ -529,12 +529,12 @@ class TrigPolynomial:
 
 
 class SpectralBand(Record):
-    """Positive frequencies of the expansion whose top participating index is n."""
+    """The ``count`` positive expansion frequencies, lo..hi, of top participating index n."""
 
     index: int
     lo: int
     hi: int
-    freqs: tuple[int, ...]
+    count: int
 
 
 class FourierCoefficient(Record):
@@ -836,25 +836,23 @@ def fourier_coefficient(spec: RieszSpec, m: int, depth: int) -> FourierCoefficie
 def spectrum_bands(spec: RieszSpec, depth: int) -> list[SpectralBand]:
     """Positive expansion frequencies grouped by highest participating index.
 
-    Band n sits inside [lambda_n - S_{n-1}, lambda_n + S_{n-1}]; successive
-    bands are disjoint in the lacunary3 regime (dyadic is refused, since
-    interference destroys the grouping).
+    In the lacunary3 regime band n (one for each a_n != 0) is lambda_n +
+    sum_{j<n} eps_j lambda_j over the j with a_j != 0: 3^(their number)
+    frequencies from lambda_n - S' to lambda_n + S', S' the sum of their
+    lambda_j.  Bands are disjoint, so they are read off the spec, with no
+    expansion (dyadic is refused, since interference destroys the grouping).
     """
     if spec.regime != LACUNARY3:
         raise RegimeError("spectrum bands are only defined in the lacunary3 regime",
                           "regime")
     _check_depth(spec, depth, "depth")
-    freqs, _ = _expansion(spec, depth).arrays()
-    positive = freqs[np.searchsorted(freqs, 0, side="right"):]
     bands = []
-    below = 0  # S_{n-1}
-    for n, lam in enumerate(spec.freqs.values[: depth + 1]):
-        lo = np.searchsorted(positive, lam - below, side="left")
-        hi = np.searchsorted(positive, lam + below, side="right")
-        members = positive[lo:hi].tolist()
-        if members:
-            bands.append(SpectralBand(n, members[0], members[-1], tuple(members)))
-        below += lam
+    below, count = 0, 1  # S'_{n-1} and 3^(number of factors j < n with a_j != 0)
+    for n, (lam, r) in enumerate(zip(spec.freqs.values[: depth + 1], spec.coeffs.moduli)):
+        if r > 0.0:
+            bands.append(SpectralBand(n, lam - below, lam + below, count))
+            below += lam
+            count *= 3
     return bands
 
 

@@ -185,8 +185,9 @@ def qi_check_mitm(vset: IntVectorSet) -> QiCheckResult:
     """Meet-in-the-middle check: sorted half-pattern sums matched by search.
 
     The sign sums of the first ceil(k/2) residues and the negated sums of
-    the last floor(k/2) are reduced modulo p and the first are sorted
-    (stably); every equal pair is a candidate.  The witness is the first
+    the last floor(k/2) are reduced modulo p; a sorted copy of the first
+    finds the second-half sums that some first-half sum equals, and every
+    equal pair is a candidate.  The witness is the first
     second-half pattern (in mixed-radix order) with a nontrivial exact
     match, combined with the first first-half pattern it matches exactly;
     a set is quasi-independent exactly when no candidate passes.
@@ -205,17 +206,16 @@ def qi_check_mitm(vset: IntVectorSet) -> QiCheckResult:
     need = _sign_sums(-residues[k_a:])
     np.remainder(sums_a, RESIDUE_PRIME, out=sums_a)
     np.remainder(need, RESIDUE_PRIME, out=need)
-    order = np.argsort(sums_a, kind="stable")
-    sums_a = sums_a[order]
-    lo = np.searchsorted(sums_a, need, "left")
-    hi = np.searchsorted(sums_a, need, "right")
+    keys = np.sort(sums_a)
+    hits = np.flatnonzero(keys[np.minimum(np.searchsorted(keys, need), keys.size - 1)] == need)
 
     def candidates():
-        # the stable sort keeps first-half indices ascending within a residue
-        for idx_b in np.flatnonzero(hi > lo):
+        # one scan of the first half per hit; each scan yields a candidate, so
+        # the false-match cap bounds the scans
+        for idx_b in hits:
             signs_b = _index_signs(int(idx_b), k_b)
-            for pos in range(lo[idx_b], hi[idx_b]):
-                yield _index_signs(int(order[pos]), k_a) + signs_b
+            for idx_a in np.flatnonzero(sums_a == need[idx_b]):
+                yield _index_signs(int(idx_a), k_a) + signs_b
 
     return _verdict(vset, candidates())
 

@@ -268,6 +268,42 @@ def test_cap_refusal_exits_three(capsys, spec_path, tmp_path):
     assert "refused" in err
 
 
+def test_spectrum_at_the_deepest_lacunary3_depth(capsys, tmp_path):
+    # 3^2584 is the last power of 3 within FREQUENCY_BITS; no expansion is formed
+    k = 2584
+    path = write_spec(tmp_path, {"frequencies": {"rule": "geometric", "base": 3, "count": k + 1},
+                                 "coefficients": {"constant": {"r": 0.5, "theta": 0.0}}})
+    code, out, _ = run_cli(capsys, "spectrum", "--spec", path, "--depth", str(k))
+    assert code == 0
+    rows = [tuple(map(int, line.split(","))) for line in out.splitlines()[2:]]
+    assert rows == [(n, (3 ** n + 1) // 2, (3 ** (n + 1) - 1) // 2, 3 ** n)
+                    for n in range(k + 1)]  # the last count is 3^k
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--spec", "s.json", "--depth", "1", "--seed", "1"),
+    ("frobnicate",),
+    (),
+    ("coeffs", "--spec", "s.json"),
+    ("coeffs", "--spec", "s.json", "--depth", "one"),
+    ("qi",),
+    ("energy", "--spec", "s.json", "--alpha", "0.5", "--variant", "exact"),
+    ("eval", "--spec", "s.json", "--depth", "1", "--grid", "5", "--t", "1"),
+], ids=["unknown option", "unknown command", "no command", "missing option", "bad integer",
+        "missing mode", "bad choice", "exclusive options"])
+def test_an_argparse_refusal_is_one_invalid_line(argv):
+    code, out, err = run_child(*argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("invalid: "), err
+
+
+def test_help_is_unchanged_by_the_refusal_parser(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["coeffs", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: riesz coeffs [-h]")
+
+
 def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["frobnicate"])
@@ -726,6 +762,9 @@ GRAM = ("gram", "--j", "1", "--k", "2", "--depth", "4", "--spec")
     (("qi", "build", "--nu", "3"), False),
     (("mesh", "count", "--lambda", "{lambda}", "--block", "2"), False),
     (("sidon", "bound", "--k", "3"), False),
+    (("spectrum", "--spec", "{spec}", "--depth", "4"), False),
+    (("energy", "--spec", "{spec}", "--alpha", "0.5", "--variant", "band_paper"), False),
+    (("energy", "--spec", "{spec}", "--alpha", "0.5", "--variant", "band_exact"), True),
     (("coeffs", "--spec", "{spec}", "--depth", "3"), True),
     (("eval", "--spec", "{spec}", "--depth", "3", "--t", "0.5"), True),
     (("dim", "--spec", "{spec}", "--depth", "5", "--n-min", "1", "--n-max", "2"), True),
@@ -733,7 +772,8 @@ GRAM = ("gram", "--j", "1", "--k", "2", "--depth", "4", "--spec")
     (("sidon", "estimate", "--set", "1,3,9", "--seed", "1", "--trials", "5"), True),
     ((*GRAM, "{random}"), True),  # random phases are drawn from numpy's PCG64
 ], ids=["validate", "validate-random-phase", "gram", "classify", "witness", "qi-lambda",
-        "qi-build", "mesh-count", "sidon-bound", "coeffs", "eval", "dim", "qi-check",
+        "qi-build", "mesh-count", "sidon-bound", "spectrum", "energy-band-paper",
+        "energy-band-exact", "coeffs", "eval", "dim", "qi-check",
         "sidon-estimate", "gram-random-phase"])
 def test_numpy_loads_only_for_commands_that_use_arrays(tmp_path, spec_path, entry, argv,
                                                        loads_numpy):

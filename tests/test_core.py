@@ -260,13 +260,25 @@ def test_expansion_and_bands_bit_exact_against_oracle(case):
     # repr tells -0.0 from 0.0, so this pins every bit
     assert [repr(poly.coefficient(m)) for m in oracle] == [repr(c) for c in oracle.values()]
 
+    # the support of P_n depends only on which a_j are 0; with unit moduli no
+    # coefficient underflows to 0.0, as a product of subnormal a_j/2 can
+    unit = CoefficientSequence(tuple(float(r > 0.0) for r in spec.coeffs.moduli),
+                               spec.coeffs.phases)
+    bands = spectrum_bands(spec, n)
+    assert bands == grouped_bands(expand_partial_product(replace(spec, coeffs=unit), n),
+                                  spec.freqs, n)
+    if len(oracle) == 3 ** sum(r > 0.0 for r in spec.coeffs.moduli[: n + 1]):  # none did
+        assert bands == grouped_bands(poly, spec.freqs, n)
+
+
+def grouped_bands(poly, freqs, n):
+    """The positive frequencies of ``poly``, the depth-n expansion, grouped by
+    the top index of their representation, as (index, least, greatest, count)."""
     groups = {}
     for m in poly.support():
         if m > 0:
-            top = _representation(spec.freqs, m, n).entries[-1][0]
-            groups.setdefault(top, []).append(m)
-    assert spectrum_bands(spec, n) == [SpectralBand(top, fs[0], fs[-1], tuple(fs))
-                                       for top, fs in sorted(groups.items())]
+            groups.setdefault(_representation(freqs, m, n).entries[-1][0], []).append(m)
+    return [SpectralBand(top, fs[0], fs[-1], len(fs)) for top, fs in sorted(groups.items())]
 
 
 def frequency_dtype(spec, depth):
@@ -738,8 +750,9 @@ def test_spectrum_bands_structure():
     spec = geometric_spec(4, 7)
     bands = spectrum_bands(spec, 2)
     assert [b.index for b in bands] == [0, 1, 2]
+    assert bands == grouped_bands(expand_partial_product(spec, 2), spec.freqs, 2)
     b0, b1, b2 = bands
-    assert b0.freqs == (1,)
+    assert b0 == SpectralBand(0, 1, 1, 1)
     assert b2.lo >= 16 - 5 and b2.hi <= 16 + 5
     assert 2 * 16 / 3 < b2.lo and b2.hi < 4 * 16 / 3
     # pairwise disjoint and ordered
@@ -753,6 +766,64 @@ def test_spectrum_bands_inside_stated_interval_for_deep_products():
         s = spec.freqs.prefix_sum(n - 1) if n else 0
         assert band.lo >= spec.freqs.values[n] - s
         assert band.hi <= spec.freqs.values[n] + s
+
+
+def expansion_bands(spec, depth):
+    """Bands as the expansion gives them: its positive frequencies in
+    [lambda_n - S_{n-1}, lambda_n + S_{n-1}], S the sum of every lambda_j,
+    j < n, whatever a_j, found by search in the sorted frequencies."""
+    freqs, _ = expand_partial_product(spec, depth).arrays()
+    positive = freqs[np.searchsorted(freqs, 0, side="right"):]
+    bands, below = [], 0
+    for n, lam in enumerate(spec.freqs.values[: depth + 1]):
+        lo = int(np.searchsorted(positive, lam - below, side="left"))
+        hi = int(np.searchsorted(positive, lam + below, side="right"))
+        if hi > lo:
+            bands.append(SpectralBand(n, int(positive[lo]), int(positive[hi - 1]), hi - lo))
+        below += lam
+    return bands
+
+
+@st.composite
+def deep_lacunary3_cases(draw):
+    """A spec with ratios >= 3, frequencies small and beyond 2^62, zero moduli,
+    and a depth up to the expansion cap.  Nonzero moduli are at least 2^-40,
+    so that no coefficient of the expansion underflows to 0 (the test below
+    covers one that does)."""
+    depth = draw(st.sampled_from(range(core.MAX_EXPANSION_DEPTH + 1)))
+    count = depth + 1 + draw(st.integers(0, 2))
+    sizes = st.one_of(st.integers(0, 50), st.integers(2 ** 60, 2 ** 66))
+    freqs = [1 + draw(sizes)]
+    for _ in range(count - 1):
+        freqs.append(3 * freqs[-1] + draw(sizes))
+    moduli = st.one_of(st.just(0.0), st.just(1.0), st.floats(2.0 ** -40, 1.0))
+    phases = st.floats(0.0, TWO_PI)
+    spec = RieszSpec(FrequencySequence(tuple(freqs)),
+                     CoefficientSequence(tuple(draw(moduli) for _ in range(count)),
+                                         tuple(draw(phases) for _ in range(count))))
+    return spec, depth
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(deep_lacunary3_cases())
+@example((RieszSpec(FrequencySequence(tuple(2 ** 62 * 3 ** j for j in range(13))),
+                    CoefficientSequence.constant(0.5, 1.0, 13)), 12))
+@example((RieszSpec(FrequencySequence.geometric(4, 13),
+                    CoefficientSequence((0.0, 0.9, 0.0, 0.0, 0.7, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                                         0.0, 0.3), (0.0,) * 13)), 12))
+def test_closed_form_bands_equal_the_expansion(case):
+    spec, depth = case
+    assert spectrum_bands(spec, depth) == expansion_bands(spec, depth)
+
+
+def test_a_band_keeps_a_frequency_whose_coefficient_underflows():
+    # a_0/2 = 2^-1075 rounds to 0.0, so the expansion drops lambda_0; the
+    # measure's coefficient there is not 0, and band 0 holds it
+    spec = RieszSpec(FrequencySequence((1, 3)), CoefficientSequence((5e-324, 0.5), (0.0, 0.0)))
+    assert expand_partial_product(spec, 0).support() == (0,)
+    assert expansion_bands(spec, 0) == []
+    assert spectrum_bands(spec, 0) == [SpectralBand(0, 1, 1, 1)]
+    assert spectrum_bands(spec, 1) == [SpectralBand(0, 1, 1, 1), SpectralBand(1, 2, 4, 3)]
 
 
 def test_spectrum_bands_refuses_dyadic():

@@ -37,6 +37,7 @@ from rieszprod import (
     sidon_union_bound,
     verify_mesh_bound,
 )
+from rieszprod import qi
 from rieszprod.cli import main
 from rieszprod.qi import MESH_GENERATOR_CAP, QI_FALSE_MATCH_CAP, RESIDUE_PRIME
 
@@ -294,6 +295,44 @@ def test_brute_witness_with_outer_block(k, t, a, b, vector):
         result = check(vset)
         assert not result.quasi_independent
         assert result.witness.signs(k) == relation
+
+
+def stable_argsort_mitm(vset):
+    """The matcher qi_check_mitm replaced: the first-half sums sorted by a
+    stable argsort, and each second-half sum's equal range found by two
+    searches; the witness is the first candidate that passes."""
+    k = len(vset)
+    k_a, k_b = (k + 1) // 2, k // 2
+    residues = qi._residues(vset)
+    sums_a = qi._sign_sums(residues[:k_a]) % RESIDUE_PRIME
+    need = qi._sign_sums(-residues[k_a:]) % RESIDUE_PRIME
+    order = np.argsort(sums_a, kind="stable")
+    sums_a = sums_a[order]
+    lo, hi = np.searchsorted(sums_a, need, "left"), np.searchsorted(sums_a, need, "right")
+
+    def candidates():
+        for idx_b in np.flatnonzero(hi > lo):
+            signs_b = qi._index_signs(int(idx_b), k_b)
+            for pos in range(lo[idx_b], hi[idx_b]):
+                yield qi._index_signs(int(order[pos]), k_a) + signs_b
+
+    return qi._verdict(vset, candidates())
+
+
+@pytest.mark.parametrize("vectors", [
+    planted_powers(24, 3, 14, 20)[0],
+    planted_powers(21, 15, 2, 9)[0],
+    planted_powers(17, 4, 1, 13, vector=True)[0],
+    [(3 ** j,) for j in range(20)],
+    [(2 ** 64 * 3 ** j + j,) for j in range(14)],
+    [(2 ** 70,), (2 ** 71,), (3 * 2 ** 70,)] + [(5 ** j,) for j in range(10)],
+    [(v,) for v in range(1, 25)],
+    [(v, v * v) for v in range(1, 19)],
+], ids=["planted-24", "planted-21", "planted-vectors", "powers-of-3", "beyond-int64",
+        "beyond-int64-relation", "dense-1-24", "dense-vectors"])
+def test_mitm_witness_equals_the_stable_argsort_matcher(vectors):
+    vset = IntVectorSet.from_vectors(vectors)
+    assert qi_check_mitm(vset) == stable_argsort_mitm(vset)
 
 
 def traced_peak_mb(func, *args):
