@@ -91,7 +91,7 @@ class _Parser(argparse.ArgumentParser):
     subparsers are of this class too."""
 
     def error(self, message: str):
-        _to_stderr(f"invalid: {message}")
+        _diagnose("invalid", message)
         sys.exit(EXIT_VALIDATION)
 
 
@@ -187,12 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class Report(NamedTuple):
-    """A handler's table (one column per header name), config extras, exit code, note."""
+    """A handler's table (one column per header name), config extras, note."""
 
     header: list[str]
     columns: list
     extras: dict = {}
-    exit: int = EXIT_OK
     note: str | None = None
 
 
@@ -211,8 +210,10 @@ def _needs(args, dest: str, flag: str):
 
 
 def _validate(args) -> Report:
-    rows = [(d.path, d.message) for d in schema_validate(args.spec)]
-    return Report(["path", "message"], list(zip(*rows)), exit=EXIT_VALIDATION if rows else EXIT_OK)
+    diagnostics = schema_validate(args.spec)
+    if diagnostics:  # one invalid: line each, as a command that loads the spec writes them
+        raise SpecFileError(diagnostics)
+    return Report(["path", "message"], [])
 
 
 def _coeffs(args) -> Report:
@@ -388,7 +389,17 @@ def run(args) -> int:
     write_report(args.out, args.format, report.header, report.columns, config)
     if report.note is not None:
         _to_stderr(report.note)
-    return report.exit
+    return EXIT_OK
+
+
+# the characters that ``str.splitlines`` breaks at, each to its ``repr`` escape
+LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
+def _diagnose(kind: str, message) -> None:
+    """One ``kind: message`` line on stderr, the line breaks of ``message`` (an
+    argument or a file name may hold one) escaped as ``repr`` escapes them."""
+    _to_stderr(f"{kind}: {str(message).translate(LINE_BREAKS)}")
 
 
 def _to_stderr(line: str) -> None:
@@ -406,14 +417,14 @@ def main(argv=None) -> int:
     try:
         return run(args)
     except CapError as err:
-        _to_stderr(f"refused: {err}")
+        _diagnose("refused", err)
         return EXIT_CAP
     except SpecFileError as err:
         for d in err.diagnostics:
-            _to_stderr(f"invalid: {d}")
+            _diagnose("invalid", d)
         return EXIT_VALIDATION
     except (ValidationError, OSError) as err:
-        _to_stderr(f"invalid: {err}")
+        _diagnose("invalid", err)
         return EXIT_VALIDATION
 
 
@@ -428,7 +439,7 @@ def console_main() -> None:
             sys.stdout.flush()
     except OSError as err:
         if code == EXIT_OK:  # any other code has printed its diagnostic
-            _to_stderr(f"invalid: {err}")
+            _diagnose("invalid", err)
             code = EXIT_VALIDATION
     os._exit(code)
 

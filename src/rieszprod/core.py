@@ -25,7 +25,6 @@ All types are immutable values; all operations are pure functions.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 import sys
@@ -772,65 +771,47 @@ def _partial_products(spec: RieszSpec, t: np.ndarray, out: np.ndarray, ns):
         yield n, out
 
 
-def _representation(freqs: FrequencySequence, m: int, depth: int) -> SignPattern | None:
-    """The unique pattern with sum eps_j lambda_j = m using indices <= depth.
-
-    Valid in the lacunary3 regime only: the intervals
-    [lambda_j - S_{j-1}, lambda_j + S_{j-1}] are pairwise disjoint, so the
-    top index of any representation is forced and the residual recurses.
-    """
-    vals = freqs.values
-    prefix = [0, *itertools.accumulate(vals)]  # prefix[j+1] = sum_{i<=j} lambda_i
-    entries, x, j = [], m, depth
-    while x != 0:
-        ax = abs(x)
-        top = None
-        while j >= 0:
-            if vals[j] - prefix[j] <= ax <= vals[j] + prefix[j]:
-                top = j
-                break
-            if vals[j] + prefix[j] < ax:
-                return None  # above every reachable window
-            j -= 1
-        if top is None:
-            return None
-        e = 1 if x > 0 else -1
-        entries.append((top, e))
-        x -= e * vals[top]
-        j = top - 1
-    return SignPattern(tuple(entries))
-
-
-def _pattern_coefficient(spec: RieszSpec, pattern: SignPattern) -> complex:
-    c = 1.0 + 0j
-    for j, e in pattern.entries:  # ascending index, matching expansion order
-        a = spec.coefficient(j)
-        c = c * (a / 2 if e == 1 else a.conjugate() / 2)
-    return c
-
-
-def _stable_at(spec: RieszSpec, m: int, depth: int) -> bool:
-    if depth >= spec.last_index:
-        return True
-    s = spec.freqs.prefix_sum(depth)
-    return abs(m) <= s and spec.freqs.values[depth + 1] - s > abs(m)
+def _coefficient(spec: RieszSpec, m: int, depth: int) -> complex:
+    """c_m of the depth expansion, bit for bit as ``_expansion`` rounds it.  From
+    factor ``depth`` down, a residual x stays while the factors below with
+    a_j != 0 can reach it, |x| <= the sum of their lambda_j (one residual at
+    most in lacunary3, two in dyadic); from factor 0 up, each sums its e = -1,
+    0, 1 terms from 0.0 (so no part is -0.0) in the order of ``_levels``."""
+    factors = [(lam, a / 2) for lam, a in zip(spec.freqs.values[: depth + 1],
+                                              map(spec.coefficient, range(depth + 1))) if a != 0]
+    reach = sum(lam for lam, _ in factors)
+    wanted = [{m} if abs(m) <= reach else set()]
+    for lam, _ in reversed(factors):
+        reach -= lam
+        wanted.append({y for x in wanted[-1] for y in (x + lam, x, x - lam) if abs(y) <= reach})
+    values = dict.fromkeys(wanted.pop(), (1.0, 0.0))  # {0: (1.0, 0.0)} or empty
+    for lam, half in factors:
+        steps = ((lam, (half.real, -half.imag)), (0, None), (-lam, (half.real, half.imag)))
+        level = {}
+        for x in wanted.pop():
+            terms = [_times(*values[x + d], *w) if w else values[x] for d, w in steps
+                     if x + d in values]
+            if terms:
+                re = im = 0.0
+                for tr, ti in terms:
+                    re, im = re + tr, im + ti
+                level[x] = re, im
+        values = level
+    return complex(*values.get(m, (0.0, 0.0)))
 
 
 def fourier_coefficient(spec: RieszSpec, m: int, depth: int) -> FourierCoefficient:
     """Coefficient of e^{imt} in the depth-truncated expansion, with a
-    stability flag.
+    stability flag, read by ``_coefficient`` in both regimes at any depth.
 
     ``stable`` means the value can no longer change when further factors are
     appended: |m| <= sum_{i<=depth} lambda_i and the next frequency clears
     that sum by more than |m| (always true at the final index).
     """
     _check_depth(spec, depth, "depth")
-    stable = _stable_at(spec, m, depth)
-    if spec.regime == DYADIC:
-        return FourierCoefficient(_expansion(spec, depth).coefficient(m), stable)
-    pattern = _representation(spec.freqs, m, depth)
-    value = 0j if pattern is None else _pattern_coefficient(spec, pattern)
-    return FourierCoefficient(value, stable)
+    s = spec.freqs.prefix_sum(depth)
+    stable = depth == spec.last_index or abs(m) <= s < spec.freqs.values[depth + 1] - abs(m)
+    return FourierCoefficient(_coefficient(spec, m, depth), stable)
 
 
 def spectrum_bands(spec: RieszSpec, depth: int) -> list[SpectralBand]:

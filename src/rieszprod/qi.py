@@ -55,6 +55,7 @@ BRUTE_FORCE_CAP = 16
 MITM_CAP = 32
 MITM_HALF_CAP = 2_000_000
 QI_FALSE_MATCH_CAP = 10_000
+MITM_SCANS = 32  # first-half scans before the search sorts that half stably once
 MESH_EXHAUSTIVE_CAP = 16
 MESH_GENERATOR_CAP = 4096
 SIDON_SET_CAP = 64
@@ -210,11 +211,16 @@ def qi_check_mitm(vset: IntVectorSet) -> QiCheckResult:
     hits = np.flatnonzero(keys[np.minimum(np.searchsorted(keys, need), keys.size - 1)] == need)
 
     def candidates():
-        # one scan of the first half per hit; each scan yields a candidate, so
-        # the false-match cap bounds the scans
-        for idx_b in hits:
-            signs_b = _index_signs(int(idx_b), k_b)
-            for idx_a in np.flatnonzero(sums_a == need[idx_b]):
+        # each hit's first-half positions, ascending: by a scan for the first
+        # MITM_SCANS hits, then from its run in one stable order, so that a
+        # set of many false matches costs one sort, not a scan per match
+        order = None
+        for scans, idx_b in enumerate(hits):
+            signs_b, key = _index_signs(int(idx_b), k_b), need[idx_b]
+            if scans == MITM_SCANS:
+                order = np.argsort(sums_a, kind="stable")
+            for idx_a in (np.flatnonzero(sums_a == key) if order is None else
+                          order[np.searchsorted(keys, key):np.searchsorted(keys, key, "right")]):
                 yield _index_signs(int(idx_a), k_a) + signs_b
 
     return _verdict(vset, candidates())

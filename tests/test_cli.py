@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, determinism, report structure."""
 
 import argparse
+import contextlib
 import hashlib
 import importlib
 import inspect
@@ -245,9 +246,9 @@ def test_validate_good_and_bad(capsys, spec_path, tmp_path):
         "frequencies": {"rule": "explicit", "values": [1, 4]},
         "coefficients": {"explicit": [{"r": 1.5}, {"r": 0.5}]},
     }), encoding="utf-8")
-    code, out, _ = run_cli(capsys, "validate", "--spec", str(bad))
-    assert code == 2
-    assert "coefficients.explicit[0].r" in out
+    code, out, err = run_cli(capsys, "validate", "--spec", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid: coefficients.explicit[0].r: ")
 
 
 def test_missing_file_is_validation_error(capsys):
@@ -791,6 +792,29 @@ def test_numpy_loads_only_for_commands_that_use_arrays(tmp_path, spec_path, entr
     assert ("imported: numpy" in proc.stderr.splitlines()) is loads_numpy
 
 
+def test_a_dyadic_coefficient_past_the_expansion_cap_imports_no_numpy():
+    # 41 dyadic factors: with a_j = 0 past factor 12, every c_m at depth 40 is
+    # the depth-12 expansion's, bit for bit; with every a_j nonzero, c_0 = 1
+    # and c_{2^40} = a_40/2, the one pattern of each
+    phases = tuple(0.7 * j for j in range(41))
+    capped = core.RieszSpec(core.FrequencySequence.geometric(2, 41), core.CoefficientSequence(
+        tuple(0.9 - 0.05 * j if j <= 12 else 0.0 for j in range(41)), phases), "dyadic")
+    full = core.replace(capped, coeffs=core.CoefficientSequence((0.5,) * 41, phases))
+    ms = range(-2 ** 13 - 1, 2 ** 13 + 2)
+    script = (NUMPY_HOOK + "from rieszprod.core import *; "
+              f"capped, full = {capped!r}, {full!r}\n"
+              f"for m in {ms!r}:\n    c = fourier_coefficient(capped, m, 40).value; "
+              "print(repr(c.real), repr(c.imag))\n"
+              "for m in (0, 2 ** 40):\n    c = fourier_coefficient(full, m, 40).value; "
+              "print(repr(c.real), repr(c.imag))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    poly = core.expand_partial_product(capped, 12)
+    expected = [poly.coefficient(m) for m in ms] + [1 + 0j, full.coefficient(40) / 2]
+    assert proc.stdout.splitlines() == [f"{c.real!r} {c.imag!r}" for c in expected]
+
+
 def public_functions(module) -> list[str]:
     """What ``bench/spans.py`` wraps: the public functions that ``module`` defines."""
     return sorted(name for name, value in vars(module).items() if not name.startswith("_")
@@ -1066,14 +1090,14 @@ def test_sidon_estimate_refuses_more_trials_than_its_search_budget():
 
 
 @pytest.mark.parametrize("doc, row", [
-    (NEGATIVE_SEED_SPEC, "coefficients.random_phase.seed,must be an integer >= 0"),
-    (BEYOND_FLOAT_R_SPEC, "coefficients.constant.r,must be a finite number"),
-    (BEYOND_FLOAT_THETA_SPEC, "coefficients.constant.theta,must be a finite number"),
+    (NEGATIVE_SEED_SPEC, "coefficients.random_phase.seed: must be an integer >= 0"),
+    (BEYOND_FLOAT_R_SPEC, "coefficients.constant.r: must be a finite number"),
+    (BEYOND_FLOAT_THETA_SPEC, "coefficients.constant.theta: must be a finite number"),
 ], ids=["negative seed", "r beyond float64", "theta beyond float64"])
 def test_validate_names_negative_seeds_and_integers_beyond_float64(tmp_path, doc, row):
     code, out, err = run_child("validate", "--spec", write_spec(tmp_path, doc))
-    assert (code, err) == (2, "")
-    assert out.splitlines()[1:] == ["path,message", row]
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"invalid: {row}"]
 
 
 def _subcommands() -> dict:
@@ -1207,6 +1231,12 @@ FUZZ_VALUES = {
                        min_size=1, max_size=8).map(lambda xs: ",".join(map(str, xs))),
 }
 
+# text around a line break, as an argument or a file name may hold one
+FUZZ_BROKEN_LINE = st.tuples(
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"), max_size=4),
+    st.sampled_from(["\n", "\r\n", "\x0b", "\x85", "\u2028"]),
+    st.sampled_from(["", "1", "x.json", "--depth"])).map("".join)
+
 
 def _fuzz_argv(data, files) -> list[str]:
     """One command line: every required option of a drawn command and some
@@ -1230,16 +1260,30 @@ def _fuzz_argv(data, files) -> list[str]:
             argv.append(data.draw(value))
         elif action.required or data.draw(st.booleans()):
             argv.append(f"{action.option_strings[0]}={data.draw(value)}")
+    if data.draw(st.integers(0, 9)) == 9:  # an option's value or one more argument
+        at = data.draw(st.sampled_from([i for i, arg in enumerate(argv) if arg[:2] == "--"]
+                                       + [len(argv)]))
+        text = data.draw(FUZZ_BROKEN_LINE)
+        argv[at:at + 1] = [f"{argv[at].partition('=')[0]}={text}" if at < len(argv) else text]
     return argv
 
 
-@settings(max_examples=500, deadline=None, derandomize=True)
+@settings(max_examples=700, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_every_command_line_ends_in_exit_0_2_or_3(fuzz_files, data):
     argv = _fuzz_argv(data, fuzz_files)
-    try:
-        code = main(argv)
-    except SystemExit as exit_info:  # argparse refuses the command line
-        code = exit_info.code
-        assert code == 2, argv
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_info:  # argparse refuses the command line
+            code = exit_info.code
+            assert code == 2, argv
     assert code in (0, 2, 3), argv
+    lines = err.getvalue().splitlines()
+    if code == 2:  # diagnostics, one line each, and no report
+        assert out.getvalue() == "" and lines, argv
+        assert all(line.startswith("invalid: ") for line in lines), (argv, lines)
+    elif code == 3:  # one refusal line and no report
+        assert out.getvalue() == "" and len(lines) == 1, (argv, lines)
+        assert lines[0].startswith("refused: "), (argv, lines)

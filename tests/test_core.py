@@ -37,7 +37,7 @@ from rieszprod import (
     validate_spec,
 )
 from rieszprod import analysis, classify, cli, core, qi, specio
-from rieszprod.core import Record, _representation, replace
+from rieszprod.core import Record, replace
 
 TWO_PI = 2 * math.pi
 
@@ -271,13 +271,25 @@ def test_expansion_and_bands_bit_exact_against_oracle(case):
         assert bands == grouped_bands(poly, spec.freqs, n)
 
 
+def top_indices(freqs, n):
+    """The top index j <= n with eps_j != 0 of every sign pattern, keyed by its
+    frequency sum_j eps_j lambda_j, by exhaustive enumeration as in
+    ``oracle_expand`` (at ratios >= 3 each frequency has one pattern)."""
+    tops = {}
+    for eps in itertools.product((-1, 0, 1), repeat=n + 1):
+        signed = [j for j, e in enumerate(eps) if e]
+        if signed:
+            tops[sum(e * freqs.values[j] for j, e in enumerate(eps))] = signed[-1]
+    return tops
+
+
 def grouped_bands(poly, freqs, n):
     """The positive frequencies of ``poly``, the depth-n expansion, grouped by
     the top index of their representation, as (index, least, greatest, count)."""
-    groups = {}
+    groups, tops = {}, top_indices(freqs, n)
     for m in poly.support():
         if m > 0:
-            groups.setdefault(_representation(freqs, m, n).entries[-1][0], []).append(m)
+            groups.setdefault(tops[m], []).append(m)
     return [SpectralBand(top, fs[0], fs[-1], len(fs)) for top, fs in sorted(groups.items())]
 
 
@@ -744,6 +756,47 @@ def test_fourier_coefficient_dyadic_matches_fft_and_flags_the_values_that_stay()
             elif abs(m) <= top:
                 # m = lambda_{depth+1} - (lambda_{depth+1} - m) gains patterns
                 assert abs(fc.value - final[m]) > 1e-6, (depth, m)
+
+
+@st.composite
+def coefficient_cases(draw):
+    """A lacunary3 spec (frequencies small and beyond 2^62) or a dyadic one,
+    with zero moduli, phases 0, pi/2 and pi among others, a depth <= 8, and
+    frequencies m of the support (sign-pattern sums) or up to 2 beyond it."""
+    depth = draw(st.integers(0, 8))
+    count = depth + 1 + draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        regime, freqs = "dyadic", [2 ** j for j in range(count)]
+        moduli = st.one_of(st.just(0.0), st.floats(0.0, 0.99))
+    else:
+        sizes = st.one_of(st.integers(0, 50), st.integers(2 ** 60, 2 ** 66))
+        regime, freqs = "lacunary3", [1 + draw(sizes)]
+        for _ in range(count - 1):
+            freqs.append(3 * freqs[-1] + draw(sizes))
+        moduli = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    phases = st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi]), st.floats(0.0, TWO_PI))
+    spec = RieszSpec(FrequencySequence(tuple(freqs)),
+                     CoefficientSequence(tuple(draw(moduli) for _ in range(count)),
+                                         tuple(draw(phases) for _ in range(count))), regime)
+    reach = core._support_bound(spec, depth)
+    patterns = st.lists(st.sampled_from((-1, 0, 1)), min_size=depth + 1, max_size=depth + 1)
+    sums = st.builds(lambda eps, shift: sum(map(lambda e, lam: e * lam, eps, freqs)) + shift,
+                     patterns, st.integers(-2, 2))
+    ms = draw(st.lists(sums | st.integers(-reach - 2, reach + 2) | st.sampled_from(
+        [-reach - 2, -reach - 1, -reach, 0, reach, reach + 1, reach + 2]), min_size=1, max_size=12))
+    return spec, depth, ms
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(coefficient_cases())
+@example((SIGNED_ZERO[0], 1, [0, 1, 2, 3, 4, -4]))
+def test_fourier_coefficient_is_the_expansion_bit_for_bit_in_both_regimes(case):
+    spec, depth, ms = case
+    poly = expand_partial_product(spec, depth)
+    for m in ms:
+        value, expected = fourier_coefficient(spec, m, depth).value, poly.coefficient(m)
+        assert (repr(value.real), repr(value.imag)) == (repr(expected.real),
+                                                       repr(expected.imag)), m
 
 
 def test_spectrum_bands_structure():

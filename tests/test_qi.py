@@ -335,6 +335,47 @@ def test_mitm_witness_equals_the_stable_argsort_matcher(vectors):
     assert qi_check_mitm(vset) == stable_argsort_mitm(vset)
 
 
+def false_matches_then(last):
+    """3^j, j < 6, then (p + 1) 3^j, j < 5, then ``last``: every second-half
+    pattern of the (p + 1) 3^j matches one first-half pattern modulo p and
+    none exactly, so hundreds of hits come before any witness of ``last``."""
+    p = RESIDUE_PRIME
+    return [(3 ** j,) for j in range(6)] + [((p + 1) * 3 ** j,) for j in range(5)] + [(last,)]
+
+
+@pytest.mark.parametrize("scans", [0, 1, qi.MITM_SCANS])
+@pytest.mark.parametrize("vectors", [
+    false_matches_then(4),  # 1 + 3 - 4 = 0, found after about 360 hits
+    false_matches_then((RESIDUE_PRIME + 1) * 3 ** 5),  # quasi-independent: 729 hits
+    planted_powers(24, 3, 14, 20)[0],
+    planted_powers(17, 4, 1, 13, vector=True)[0],
+    [(2 ** 70,), (2 ** 71,), (3 * 2 ** 70,)] + [(5 ** j,) for j in range(10)],
+    [(v,) for v in range(1, 25)],
+    [(v, v * v) for v in range(1, 19)],
+], ids=["false-matches-then-relation", "false-matches", "planted-24", "planted-vectors",
+        "beyond-int64-relation", "dense-1-24", "dense-vectors"])
+def test_mitm_witness_from_the_stable_order_equals_the_stable_argsort_matcher(
+        monkeypatch, scans, vectors):
+    # the hits past MITM_SCANS read their first-half positions from one stable order
+    monkeypatch.setattr(qi, "MITM_SCANS", scans)
+    vset = IntVectorSet.from_vectors(vectors)
+    assert qi_check_mitm(vset) == stable_argsort_mitm(vset)
+
+
+def test_mitm_refuses_a_crafted_false_match_set_after_one_sort():
+    # 3^j and (p + 1) 3^j, j < 13: each of the 3^13 second-half patterns
+    # matches one first-half pattern modulo p and none exactly; a scan of the
+    # 3^13 first-half sums per hit took about 10 s to reach the cap
+    p = RESIDUE_PRIME
+    vset = IntVectorSet.from_integers([3 ** j for j in range(13)]
+                                      + [(p + 1) * 3 ** j for j in range(13)])
+    start = time.perf_counter()
+    with pytest.raises(CapError, match=f"^{QI_FALSE_MATCH_CAP + 1} sign patterns matched "
+                                       f"modulo p = {p} but not exactly"):
+        qi_check_mitm(vset)
+    assert time.perf_counter() - start < 6
+
+
 def traced_peak_mb(func, *args):
     tracemalloc.start()
     try:
