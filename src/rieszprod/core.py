@@ -771,15 +771,23 @@ def _partial_products(spec: RieszSpec, t: np.ndarray, out: np.ndarray, ns):
         yield n, out
 
 
+@functools.lru_cache(maxsize=8)
+def _walk_factors(spec: RieszSpec, depth: int) -> tuple[tuple[tuple[int, complex], ...], int]:
+    """The (lambda_j, a_j/2) of the factors j <= depth with a_j != 0, and the
+    sum of their lambda_j."""
+    factors = tuple((lam, a / 2) for lam, a in zip(spec.freqs.values[: depth + 1],
+                                                   map(spec.coefficient, range(depth + 1)))
+                    if a != 0)
+    return factors, sum(lam for lam, _ in factors)
+
+
 def _coefficient(spec: RieszSpec, m: int, depth: int) -> complex:
     """c_m of the depth expansion, bit for bit as ``_expansion`` rounds it.  From
     factor ``depth`` down, a residual x stays while the factors below with
     a_j != 0 can reach it, |x| <= the sum of their lambda_j (one residual at
     most in lacunary3, two in dyadic); from factor 0 up, each sums its e = -1,
     0, 1 terms from 0.0 (so no part is -0.0) in the order of ``_levels``."""
-    factors = [(lam, a / 2) for lam, a in zip(spec.freqs.values[: depth + 1],
-                                              map(spec.coefficient, range(depth + 1))) if a != 0]
-    reach = sum(lam for lam, _ in factors)
+    factors, reach = _walk_factors(spec, depth)
     wanted = [{m} if abs(m) <= reach else set()]
     for lam, _ in reversed(factors):
         reach -= lam

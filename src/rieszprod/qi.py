@@ -6,13 +6,16 @@ Two checkers are provided: an exhaustive scan over all 3^k sign patterns
 and a meet-in-the-middle search, each returning a verified witness pattern
 on failure.  Both encode each vector as one integer sum_i v_i B^i,
 B = 2 k max|v_i| + 1 (exact, because no coordinate of a combination
-reaches B/2), divide the codes by their gcd and reduce them modulo the
-prime p = 2^57 - 13, so that sums of up to 16 residues stay in int64.
-Both build their sign sums level by level, S -> [S - v, S, S + v], in
-mixed-radix order (digits -1, 0, +1, big-endian).  The scan compares sums
-with one another, the search sorts the first-half sums and looks up the
-negated second-half sums.  A residue match is only a candidate: each is
-checked exactly in the checker's witness order, and past
+reaches B/2), and build their sign sums level by level,
+S -> [S - v, S, S + v], in mixed-radix order (digits -1, 0, +1,
+big-endian).  The scan sums the exact codes as Python integers and imports
+no numpy: it tabulates the first pattern of each sum of the trailing
+min(k, 8) codes, and each sum s of the leading codes has one candidate,
+the first trailing pattern summing to -s.  The search divides the codes
+by their gcd and reduces them modulo the prime p = 2^57 - 13, so that sums
+of up to 16 residues stay in int64; it sorts the first-half sums and looks
+up the negated second-half sums.  A residue match is only a candidate:
+each is checked exactly in the search's witness order, and past
 QI_FALSE_MATCH_CAP failed candidates the check is refused.  The search's
 witness is the first second-half pattern with a nontrivial match,
 combined with the first first-half pattern matching it (both in that
@@ -35,8 +38,8 @@ Certified Sidon-constant machinery: the union bound 3 sqrt(3) k sqrt(2k-1)
 and a randomized lower-bound search whose certificate rests on the grid
 sup-norm inflation 1/(1 - pi n / M) for degree-n polynomials on M nodes.
 
-beta grows super-exponentially; the construction is exact Python
-arbitrary precision, and the checkers' int64 sums are residues whose
+beta grows super-exponentially; the construction and the scan are exact
+Python arbitrary precision, and the search's int64 sums are residues whose
 matches are verified with exact integers.
 """
 
@@ -52,6 +55,7 @@ from .core import (PHASE_GENERATOR, CapError, Record, SignPattern, ValidationErr
                    _grid)
 
 BRUTE_FORCE_CAP = 16
+BRUTE_TABLE = 8  # trailing elements whose 3^8 sign sums the scan tabulates
 MITM_CAP = 32
 MITM_HALF_CAP = 2_000_000
 QI_FALSE_MATCH_CAP = 10_000
@@ -62,7 +66,7 @@ SIDON_SET_CAP = 64
 SIDON_GRID_BUDGET = 8_000_000
 _SIDON_PEAKS = 64  # largest |p| nodes a trial move is checked on first
 
-# the checkers' prime: 16 p < 2^62, so sums of up to 16 residues stay in int64
+# the search's prime: 16 p < 2^62, so sums of up to 16 residues stay in int64
 RESIDUE_PRIME = 2 ** 57 - 13
 
 
@@ -115,12 +119,16 @@ def _index_signs(index: int, k: int) -> list[int]:
     return signs
 
 
-def _residues(vset: IntVectorSet) -> np.ndarray:
-    """The codes sum_i v_i B^i of the module docstring modulo ``RESIDUE_PRIME``,
-    divided first by their gcd: that keeps every relation, and leaves a
-    code that p does not divide."""
+def _codes(vset: IntVectorSet) -> list[int]:
+    """The exact codes sum_i v_i B^i of the module docstring."""
     base = 2 * len(vset) * vset.max_abs + 1
-    codes = [sum(x * base ** i for i, x in enumerate(v)) for v in vset.elements]
+    return [sum(x * base ** i for i, x in enumerate(v)) for v in vset.elements]
+
+
+def _residues(vset: IntVectorSet) -> np.ndarray:
+    """The codes modulo ``RESIDUE_PRIME``, divided first by their gcd: that
+    keeps every relation, and leaves a code that p does not divide."""
+    codes = _codes(vset)
     gcd = math.gcd(*codes)
     return np.array([c // gcd % RESIDUE_PRIME for c in codes], dtype=np.int64)
 
@@ -134,10 +142,19 @@ def _sign_sums(values: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _exact_sign_sums(codes: list[int]) -> list[int]:
+    """``_sign_sums`` of the Python integers ``codes``, exact."""
+    sums = [0]
+    for v in codes:
+        sums = [s + d for s in sums for d in (-v, 0, v)]
+    return sums
+
+
 def _verdict(vset: IntVectorSet, candidates: Iterable[list[int]]) -> QiCheckResult:
     """The first candidate (list of signs) whose pattern is a nontrivial
     relation, checked exactly with ``SignPattern.apply`` and led by +1; a
-    residue match can be a false one, and the trivial pattern always fails.
+    residue match of the search can be a false one, and the trivial pattern
+    always fails.
     Past ``QI_FALSE_MATCH_CAP`` failed candidates the check is refused."""
     failed = 0
     for signs in candidates:
@@ -159,25 +176,28 @@ def qi_check_bruteforce(vset: IntVectorSet) -> QiCheckResult:
     """Exhaustive scan of all 3^k sign patterns, first witness in scan order.
 
     Capped at 16 elements (3^16 patterns); larger sets are directed to the
-    meet-in-the-middle checker.  The sums of the last min(k, 12) residues
-    are built once and reduced modulo p; each sum of the remaining leading
-    residues is an offset, and the inner sums equal to -offset mod p are
-    the candidates, verified exactly in scan order.
+    meet-in-the-middle checker.  The exact sums of the last
+    min(k, ``BRUTE_TABLE``) codes are built once, keeping the first index
+    of each; each sum of the remaining leading codes is an offset, and the
+    first inner index summing to -offset is its one candidate.  Only the
+    trivial pattern can fail ``_verdict``, and only when no inner
+    relation comes before it.
     """
     k = len(vset)
     if k > BRUTE_FORCE_CAP:
         raise CapError(
             f"brute force capped at {BRUTE_FORCE_CAP} elements, got {k}; "
             "use qi_check_mitm")
-    residues = _residues(vset)
-    outer = max(k - 12, 0)
-    inner = _sign_sums(residues[outer:])
-    np.remainder(inner, RESIDUE_PRIME, out=inner)
+    codes = _codes(vset)
+    outer = max(k - BRUTE_TABLE, 0)
+    inner = _exact_sign_sums(codes[outer:])
+    first = dict(zip(reversed(inner), reversed(range(len(inner)))))
 
     def candidates():
-        for out_idx, offset in enumerate(_sign_sums(residues[:outer])):
-            for h in np.flatnonzero(inner == -offset % RESIDUE_PRIME):
-                yield _index_signs(out_idx * inner.size + int(h), k)
+        for out_idx, offset in enumerate(_exact_sign_sums(codes[:outer])):
+            h = first.get(-offset)
+            if h is not None:
+                yield _index_signs(out_idx * len(inner) + h, k)
 
     return _verdict(vset, candidates())
 

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import importlib
 import inspect
@@ -680,7 +681,8 @@ def test_the_cli_loads_numpy_with_one_blas_thread_unless_told(blas, tasks):
         pytest.skip(f"OpenBLAS starts no more threads than the {tasks} CPUs this needs")
     script = ("import os, sys; before = dict(os.environ); import rieszprod.cli as cli; "
               "loaded = 'numpy' in sys.modules; "
-              "cli.main(['qi', 'check', '--values', '1,2,3', '--out', os.devnull]); "
+              "cli.main(['qi', 'check', '--method', 'mitm', '--values', '1,2,3', "
+              "'--out', os.devnull]); "
               "print(len(os.listdir('/proc/self/task')), os.environ == before, "
               "os.environ.get('OPENBLAS_NUM_THREADS'), loaded, 'numpy' in sys.modules)")
     assert run_python(script, OPENBLAS_NUM_THREADS=blas).split() == [str(tasks), "True",
@@ -695,7 +697,8 @@ def test_every_layer_keeps_reading_numpy_through_the_module_hook():
     """An array command leaves each layer's ``np`` bound to ``_lazynp``, which
     then holds numpy's values under the names read."""
     script = ("import os, sys, rieszprod._lazynp as lazy, rieszprod.cli as cli; "
-              "cli.main(['qi', 'check', '--values', '1,2,3', '--out', os.devnull]); "
+              "cli.main(['qi', 'check', '--method', 'mitm', '--values', '1,2,3', "
+              "'--out', os.devnull]); "
               "import numpy; "
               f"print([sys.modules['rieszprod.' + layer].np is lazy for layer in {LAYERS!r}], "
               "lazy.ndarray is numpy.ndarray)")
@@ -769,12 +772,13 @@ GRAM = ("gram", "--j", "1", "--k", "2", "--depth", "4", "--spec")
     (("coeffs", "--spec", "{spec}", "--depth", "3"), True),
     (("eval", "--spec", "{spec}", "--depth", "3", "--t", "0.5"), True),
     (("dim", "--spec", "{spec}", "--depth", "5", "--n-min", "1", "--n-max", "2"), True),
-    (("qi", "check", "--values", "1,2,3"), True),
+    (("qi", "check", "--values", "1,2,3"), False),  # auto: brute force, exact integers
+    (("qi", "check", "--method", "mitm", "--values", "1,2,3"), True),
     (("sidon", "estimate", "--set", "1,3,9", "--seed", "1", "--trials", "5"), True),
     ((*GRAM, "{random}"), True),  # random phases are drawn from numpy's PCG64
 ], ids=["validate", "validate-random-phase", "gram", "classify", "witness", "qi-lambda",
         "qi-build", "mesh-count", "sidon-bound", "spectrum", "energy-band-paper",
-        "energy-band-exact", "coeffs", "eval", "dim", "qi-check",
+        "energy-band-exact", "coeffs", "eval", "dim", "qi-check", "qi-check-mitm",
         "sidon-estimate", "gram-random-phase"])
 def test_numpy_loads_only_for_commands_that_use_arrays(tmp_path, spec_path, entry, argv,
                                                        loads_numpy):
@@ -1268,6 +1272,26 @@ def _fuzz_argv(data, files) -> list[str]:
     return argv
 
 
+def assert_report(text: str, argv) -> None:
+    """``text`` parses as a report of the format that ``argv`` names (CSV by
+    default): a '# config: ' line holding a JSON object, a header and rows,
+    or a JSON object of "config", "header" and "rows"; each row holds one
+    cell per header name."""
+    fmt = next((arg.partition("=")[2] for arg in reversed(argv)
+                if arg.startswith("--format=")), "csv")
+    if fmt == "json":
+        report = json.loads(text)
+        assert sorted(report) == ["config", "header", "rows"], argv
+        config, header, rows = report["config"], report["header"], report["rows"]
+    else:
+        line, _, body = text.partition("\n")
+        assert line.startswith("# config: "), (argv, line)
+        config = json.loads(line.removeprefix("# config: "))
+        header, *rows = csv.reader(io.StringIO(body))
+    assert isinstance(config, dict) and header, (argv, text[:200])
+    assert all(len(row) == len(header) for row in rows), (argv, header)
+
+
 @settings(max_examples=700, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_every_command_line_ends_in_exit_0_2_or_3(fuzz_files, data):
@@ -1287,3 +1311,5 @@ def test_every_command_line_ends_in_exit_0_2_or_3(fuzz_files, data):
     elif code == 3:  # one refusal line and no report
         assert out.getvalue() == "" and len(lines) == 1, (argv, lines)
         assert lines[0].startswith("refused: "), (argv, lines)
+    else:  # the report alone on stdout
+        assert_report(out.getvalue(), argv)

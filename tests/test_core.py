@@ -799,6 +799,22 @@ def test_fourier_coefficient_is_the_expansion_bit_for_bit_in_both_regimes(case):
                                                        repr(expected.imag)), m
 
 
+def test_coefficient_reads_at_one_depth_form_the_factors_once(monkeypatch):
+    # the (lambda_j, a_j/2) with a_j != 0 and their reach are cached per
+    # (spec, depth): 100 reads compute each a_j once
+    spec, depth = geometric_spec(4, 12, r=0.5, theta=0.3), 8
+    poly = expand_partial_product(spec, depth)
+    coefficient, calls = RieszSpec.coefficient, []
+    monkeypatch.setattr(RieszSpec, "coefficient",
+                        lambda self, j: calls.append(j) or coefficient(self, j))
+    core._walk_factors.cache_clear()
+    ms = [lam + d for lam in spec.freqs.values[:10] for d in range(-5, 5)]
+    assert len(ms) == 100
+    for m in ms:
+        assert fourier_coefficient(spec, m, depth).value == poly.coefficient(m), m
+    assert calls == list(range(depth + 1))
+
+
 def test_spectrum_bands_structure():
     spec = geometric_spec(4, 7)
     bands = spectrum_bands(spec, 2)

@@ -1,8 +1,9 @@
 """Quasi-independence checkers, the recursive construction, meshes, Sidon.
 
-The two checkers are each other's oracle: they share the residue encoding,
-the sign-sum enumerator and the exact verification of candidates, but one
-compares every pattern's sum and the other sorts and searches half sums.
+The two checkers are each other's oracle: they share the integer codes and
+the exact verification of candidates, but one tabulates exact sums of the
+trailing codes and walks the leading ones, and the other sorts and
+searches half sums of residues.
 Both are also checked against plain enumerations in their documented
 orders, and every negative verdict's witness is recombined and checked to
 sum to zero.
@@ -217,6 +218,39 @@ def test_checkers_agree_with_plain_enumeration(vectors):
     assert mitm.witness == documented_witness(vectors)
 
 
+@st.composite
+def straddling_sets(draw):
+    """9 to 11 distinct nonzero vectors of dimension 1 or 2, with small
+    coordinates (many relations) or coordinates beyond 2^62, and sometimes a
+    planted relation v_c = v_a +- v_b across the scan's table boundary: a
+    among the first k - 8 elements, which the scan walks, and c among the
+    last 8, which it tabulates."""
+    k = draw(st.integers(9, 11))
+    dim = draw(st.integers(1, 2))
+    coords = draw(st.sampled_from([st.integers(-40, 40), st.integers(-2 ** 70, 2 ** 70)]))
+    vectors = draw(st.lists(st.tuples(*[coords] * dim).filter(any),
+                            min_size=k, max_size=k, unique=True))
+    if draw(st.booleans()):
+        outer = k - qi.BRUTE_TABLE
+        a = draw(st.integers(0, outer - 1))
+        c = draw(st.integers(outer, k - 1))
+        b = draw(st.sampled_from([j for j in range(k) if j not in (a, c)]))
+        sign = draw(st.sampled_from((-1, 1)))
+        planted = tuple(x + sign * y for x, y in zip(vectors[a], vectors[b]))
+        if any(planted) and planted not in vectors:
+            vectors[c] = planted
+    return vectors
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(straddling_sets())
+def test_brute_witness_across_the_table_boundary(vectors):
+    result = qi_check_bruteforce(IntVectorSet.from_vectors(vectors))
+    expected = scan_order_witness(vectors)
+    assert result.quasi_independent == (expected is None)
+    assert result.witness == expected
+
+
 def test_residue_prime_is_prime():
     p = RESIDUE_PRIME
     assert 16 * p < 2 ** 62
@@ -250,7 +284,8 @@ def test_codes_that_are_multiples_of_p():
 @pytest.mark.parametrize("method", ["brute", "mitm"])
 def test_false_residue_matches_are_refused(capsys, method):
     # 1, p, 3p, 9p, ...: quasi-independent, but every pattern without the 1
-    # sums to 0 modulo p, so the candidates are all false
+    # sums to 0 modulo p, so the search's candidates are all false; the scan
+    # sums exact integers and answers
     p = RESIDUE_PRIME
     values = [1] + [p * 3 ** j for j in range(15)]
     start = time.perf_counter()
@@ -258,6 +293,10 @@ def test_false_residue_matches_are_refused(capsys, method):
                  "--values=" + ",".join(map(str, values))])
     elapsed = time.perf_counter() - start
     err = capsys.readouterr().err
+    if method == "brute":
+        assert code == 0 and elapsed < 2
+        assert "verdict: true" in err.splitlines()
+        return
     assert code == 3 and elapsed < 2
     assert f"{QI_FALSE_MATCH_CAP + 1} sign patterns matched modulo p = {p}" in err
     assert f"the false-match cap is {QI_FALSE_MATCH_CAP}" in err
@@ -281,12 +320,17 @@ def planted_powers(k, t, a, b, vector=False):
     return vectors, tuple(lead * e for e in signs)
 
 
-# the int64 scan enumerates the first k - 12 elements in an outer loop
+# the scan walks the first k - 8 elements in an outer loop and tabulates the rest
 @pytest.mark.parametrize("k, t, a, b, vector", [
     (16, 2, 0, 1, False),   # inside the outer block
-    (14, 1, 0, 5, False),   # across the outer/inner boundary
-    (13, 10, 3, 7, False),  # inside the inner block
+    (14, 1, 0, 5, False),   # inside the outer block of 6
+    (13, 10, 3, 7, False),  # across the outer/inner boundary
     (15, 4, 1, 13, True),   # across the boundary, 2-D vectors
+    (16, 7, 0, 8, False),   # the last outer element and the first inner one
+    (9, 0, 1, 8, False),    # one outer element
+    (12, 3, 5, 4, True),    # the boundary at k - 8 = 4, 2-D vectors
+    (10, 9, 0, 1, False),   # inner t, outer a and b
+    (16, 15, 8, 14, True),  # inside the inner block at the cap, 2-D vectors
 ])
 def test_brute_witness_with_outer_block(k, t, a, b, vector):
     vectors, relation = planted_powers(k, t, a, b, vector)
@@ -389,9 +433,9 @@ def test_checkers_peak_memory():
     # the half cap: two halves of 3^13 sums, built level by level
     halves = IntVectorSet.from_integers([3 ** j for j in range(26)])
     assert traced_peak_mb(qi_check_mitm, halves) < 128
-    # a full int64 scan of 3^16 patterns
+    # a full scan of 3^16 patterns: two lists of 3^8 exact sums and one table
     dominant = IntVectorSet.from_integers([3 ** j for j in range(16)])
-    assert traced_peak_mb(qi_check_bruteforce, dominant) < 32
+    assert traced_peak_mb(qi_check_bruteforce, dominant) < 4
 
 
 def test_int_vector_set_invariants():
