@@ -147,7 +147,15 @@ class Record:
         return _field_values(self) == _field_values(other)
 
     def __hash__(self):
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        """The hash of the fields, formed once: a record never changes."""
         return hash(_field_values(self))
+
+    def __getstate__(self):  # a pickle leaves the hash behind: str hashes differ by process
+        return {name: value for name, value in vars(self).items() if name != "_hash"}
 
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value

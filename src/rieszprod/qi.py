@@ -2,24 +2,16 @@
 
 A finite family of integer vectors is quasi-independent when the only
 combination sum eps_j v_j = 0 with eps_j in {-1,0,1} is the trivial one.
-Two checkers are provided: an exhaustive scan over all 3^k sign patterns
-and a meet-in-the-middle search, each returning a verified witness pattern
-on failure.  Both encode each vector as one integer sum_i v_i B^i,
+Two checkers, an exhaustive scan of all 3^k sign patterns and a
+meet-in-the-middle search, each return a verified witness pattern on
+failure.  Both encode each vector as one integer sum_i v_i B^i,
 B = 2 k max|v_i| + 1 (exact, because no coordinate of a combination
-reaches B/2), and build their sign sums level by level,
-S -> [S - v, S, S + v], in mixed-radix order (digits -1, 0, +1,
-big-endian).  The scan sums the exact codes as Python integers and imports
-no numpy: it tabulates the first pattern of each sum of the trailing
-min(k, 8) codes, and each sum s of the leading codes has one candidate,
-the first trailing pattern summing to -s.  The search divides the codes
-by their gcd and reduces them modulo the prime p = 2^57 - 13, so that sums
-of up to 16 residues stay in int64; it sorts the first-half sums and looks
-up the negated second-half sums.  A residue match is only a candidate:
-each is checked exactly in the search's witness order, and past
-QI_FALSE_MATCH_CAP failed candidates the check is refused.  The search's
-witness is the first second-half pattern with a nontrivial match,
-combined with the first first-half pattern matching it (both in that
-order).
+reaches B/2), divide the codes by their gcd (which keeps every relation),
+and sum them exactly over the sign patterns in mixed-radix order (digits
+-1, 0, +1, big-endian): as Python integers in ``_exact_matches``, which
+serves the scan (it imports no numpy) and the search on codes beyond int64,
+and as int64 arrays in the search while k max|code| < 2^62.  Each witness
+is the first nontrivial relation in its checker's documented order.
 
 The constructive part builds, level by level,
 
@@ -38,9 +30,8 @@ Certified Sidon-constant machinery: the union bound 3 sqrt(3) k sqrt(2k-1)
 and a randomized lower-bound search whose certificate rests on the grid
 sup-norm inflation 1/(1 - pi n / M) for degree-n polynomials on M nodes.
 
-beta grows super-exponentially; the construction and the scan are exact
-Python arbitrary precision, and the search's int64 sums are residues whose
-matches are verified with exact integers.
+beta grows super-exponentially; the construction and both checkers are
+exact: Python arbitrary precision, or int64 where no sum can leave it.
 """
 
 from __future__ import annotations
@@ -48,26 +39,21 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterable, Sequence
+import operator
+from typing import Iterable, Iterator, Sequence
 
 from . import _lazynp as np
-from .core import (PHASE_GENERATOR, CapError, Record, SignPattern, ValidationError, _generator,
-                   _grid)
+from .core import (INT64_LIMIT, PHASE_GENERATOR, CapError, Record, SignPattern, ValidationError,
+                   _generator, _grid)
 
 BRUTE_FORCE_CAP = 16
-BRUTE_TABLE = 8  # trailing elements whose 3^8 sign sums the scan tabulates
-MITM_CAP = 32
+BRUTE_TABLE = 8  # codes per block of the exact walk, and the scan's table
 MITM_HALF_CAP = 2_000_000
-QI_FALSE_MATCH_CAP = 10_000
-MITM_SCANS = 32  # first-half scans before the search sorts that half stably once
 MESH_EXHAUSTIVE_CAP = 16
 MESH_GENERATOR_CAP = 4096
 SIDON_SET_CAP = 64
 SIDON_GRID_BUDGET = 8_000_000
 _SIDON_PEAKS = 64  # largest |p| nodes a trial move is checked on first
-
-# the search's prime: 16 p < 2^62, so sums of up to 16 residues stay in int64
-RESIDUE_PRIME = 2 ** 57 - 13
 
 
 class IntVectorSet(Record):
@@ -120,17 +106,12 @@ def _index_signs(index: int, k: int) -> list[int]:
 
 
 def _codes(vset: IntVectorSet) -> list[int]:
-    """The exact codes sum_i v_i B^i of the module docstring."""
+    """The exact codes sum_i v_i B^i of the module docstring, divided by their
+    gcd: that keeps every relation."""
     base = 2 * len(vset) * vset.max_abs + 1
-    return [sum(x * base ** i for i, x in enumerate(v)) for v in vset.elements]
-
-
-def _residues(vset: IntVectorSet) -> np.ndarray:
-    """The codes modulo ``RESIDUE_PRIME``, divided first by their gcd: that
-    keeps every relation, and leaves a code that p does not divide."""
-    codes = _codes(vset)
+    codes = [sum(x * base ** i for i, x in enumerate(v)) for v in vset.elements]
     gcd = math.gcd(*codes)
-    return np.array([c // gcd % RESIDUE_PRIME for c in codes], dtype=np.int64)
+    return [c // gcd for c in codes]
 
 
 def _sign_sums(values: np.ndarray) -> np.ndarray:
@@ -150,13 +131,44 @@ def _exact_sign_sums(codes: list[int]) -> list[int]:
     return sums
 
 
+def _exact_matches(walk: list[int], table: list[int]) -> Iterator[tuple[int, list[int]]]:
+    """Each sign sum of ``walk`` that a sign sum of ``table`` cancels, as its
+    index in mixed-radix order and the signs of the first table pattern that
+    cancels it, in the order of the walk.
+
+    ``reach`` holds every sign sum of the table, grown in place code by code
+    (S -> S u (S - t) u (S + t)).  The walk comes in blocks, one per sum of
+    all but the last ``BRUTE_TABLE`` walk codes, and a block with no sum in
+    ``reach`` is passed over by one ``isdisjoint``.  The first table pattern
+    with a given sum is the first pattern of the table's first half whose
+    remainder a second-half pattern sums to, followed by the first such one.
+    """
+    reach = {0}
+    for t in table:
+        sums = list(reach)
+        reach.update(map(operator.add, sums, itertools.repeat(t)),
+                     map(operator.sub, sums, itertools.repeat(t)))
+    half = len(table) // 2
+    lead, trail = _exact_sign_sums(table[:half]), _exact_sign_sums(table[half:])
+    first = dict(zip(reversed(trail), reversed(range(len(trail)))))  # each sum's first index
+    split = max(len(walk) - BRUTE_TABLE, 0)
+    block = _exact_sign_sums(walk[split:])
+    for outer, offset in enumerate(_exact_sign_sums(walk[:split])):
+        if reach.isdisjoint(map(operator.add, block, itertools.repeat(offset))):
+            continue
+        for inner, s in enumerate(block):
+            need = -offset - s
+            if need in reach:
+                index = next(i * len(trail) + first[need - a]
+                             for i, a in enumerate(lead) if need - a in first)
+                yield outer * len(block) + inner, _index_signs(index, len(table))
+
+
 def _verdict(vset: IntVectorSet, candidates: Iterable[list[int]]) -> QiCheckResult:
     """The first candidate (list of signs) whose pattern is a nontrivial
-    relation, checked exactly with ``SignPattern.apply`` and led by +1; a
-    residue match of the search can be a false one, and the trivial pattern
-    always fails.
-    Past ``QI_FALSE_MATCH_CAP`` failed candidates the check is refused."""
-    failed = 0
+    relation, checked exactly with ``SignPattern.apply`` and led by +1.
+    Both checkers sum exactly, so every candidate is a relation and only the
+    trivial pattern fails: neither hands over more than two candidates."""
     for signs in candidates:
         pattern = SignPattern.from_signs(signs)
         if not pattern.is_trivial and not any(pattern.apply(vset.elements)):
@@ -164,11 +176,6 @@ def _verdict(vset: IntVectorSet, candidates: Iterable[list[int]]) -> QiCheckResu
                 # a witness and its negation are interchangeable; lead with +1
                 pattern = SignPattern(tuple((j, -e) for j, e in pattern.entries))
             return QiCheckResult(False, pattern)
-        failed += 1
-        if failed > QI_FALSE_MATCH_CAP:
-            raise CapError(
-                f"{failed} sign patterns matched modulo p = {RESIDUE_PRIME} but "
-                f"not exactly; the false-match cap is {QI_FALSE_MATCH_CAP}")
     return QiCheckResult(True, None)
 
 
@@ -176,12 +183,11 @@ def qi_check_bruteforce(vset: IntVectorSet) -> QiCheckResult:
     """Exhaustive scan of all 3^k sign patterns, first witness in scan order.
 
     Capped at 16 elements (3^16 patterns); larger sets are directed to the
-    meet-in-the-middle checker.  The exact sums of the last
-    min(k, ``BRUTE_TABLE``) codes are built once, keeping the first index
-    of each; each sum of the remaining leading codes is an offset, and the
-    first inner index summing to -offset is its one candidate.  Only the
-    trivial pattern can fail ``_verdict``, and only when no inner
-    relation comes before it.
+    meet-in-the-middle checker.  ``_exact_matches`` walks the sums of the
+    leading k - 8 codes over a table of the last min(k, ``BRUTE_TABLE``):
+    each walked sum has one candidate, the first table pattern cancelling
+    it.  Only the trivial pattern can fail ``_verdict``, and only when no
+    relation among the last codes comes before it.
     """
     k = len(vset)
     if k > BRUTE_FORCE_CAP:
@@ -190,60 +196,42 @@ def qi_check_bruteforce(vset: IntVectorSet) -> QiCheckResult:
             "use qi_check_mitm")
     codes = _codes(vset)
     outer = max(k - BRUTE_TABLE, 0)
-    inner = _exact_sign_sums(codes[outer:])
-    first = dict(zip(reversed(inner), reversed(range(len(inner)))))
-
-    def candidates():
-        for out_idx, offset in enumerate(_exact_sign_sums(codes[:outer])):
-            h = first.get(-offset)
-            if h is not None:
-                yield _index_signs(out_idx * len(inner) + h, k)
-
-    return _verdict(vset, candidates())
+    return _verdict(vset, (_index_signs(walked, outer) + signs for walked, signs
+                           in _exact_matches(codes[:outer], codes[outer:])))
 
 
 def qi_check_mitm(vset: IntVectorSet) -> QiCheckResult:
-    """Meet-in-the-middle check: sorted half-pattern sums matched by search.
+    """Meet-in-the-middle check: the first-half sign sums matched against
+    the second-half ones, exactly.
 
-    The sign sums of the first ceil(k/2) residues and the negated sums of
-    the last floor(k/2) are reduced modulo p; a sorted copy of the first
-    finds the second-half sums that some first-half sum equals, and every
-    equal pair is a candidate.  The witness is the first
-    second-half pattern (in mixed-radix order) with a nontrivial exact
-    match, combined with the first first-half pattern it matches exactly;
-    a set is quasi-independent exactly when no candidate passes.
+    Refused once the first ceil(k/2) codes have more than ``MITM_HALF_CAP``
+    sign sums.  While k max|code| < 2^62 the sums are int64 arrays: a sorted
+    copy of the first-half sums finds the second-half sums that some
+    first-half sum cancels, and a scan of the first half gives each one's
+    first pattern.  Above that, ``_exact_matches`` walks the second-half
+    sums of Python integers over a table of the first half.  The witness is
+    the first second-half pattern (in mixed-radix order) with a nontrivial
+    match, combined with the first first-half pattern matching it; the
+    first zero-sum first-half pattern is nontrivial whenever one is (of a
+    relation and its negation, the one led by -1 precedes the trivial
+    pattern), so each second-half pattern has one candidate.
     """
     k = len(vset)
-    if k > MITM_CAP:
-        raise CapError(f"meet-in-the-middle capped at {MITM_CAP} elements, got {k}")
     k_a = (k + 1) // 2
     k_b = k - k_a
     if 3 ** k_a > MITM_HALF_CAP:
-        raise CapError(
-            f"memory budget exceeded: half enumeration needs 3^{k_a} = "
-            f"{3 ** k_a} entries, cap is {MITM_HALF_CAP}")
-    residues = _residues(vset)
-    sums_a = _sign_sums(residues[:k_a])
-    need = _sign_sums(-residues[k_a:])
-    np.remainder(sums_a, RESIDUE_PRIME, out=sums_a)
-    np.remainder(need, RESIDUE_PRIME, out=need)
-    keys = np.sort(sums_a)
-    hits = np.flatnonzero(keys[np.minimum(np.searchsorted(keys, need), keys.size - 1)] == need)
-
-    def candidates():
-        # each hit's first-half positions, ascending: by a scan for the first
-        # MITM_SCANS hits, then from its run in one stable order, so that a
-        # set of many false matches costs one sort, not a scan per match
-        order = None
-        for scans, idx_b in enumerate(hits):
-            signs_b, key = _index_signs(int(idx_b), k_b), need[idx_b]
-            if scans == MITM_SCANS:
-                order = np.argsort(sums_a, kind="stable")
-            for idx_a in (np.flatnonzero(sums_a == key) if order is None else
-                          order[np.searchsorted(keys, key):np.searchsorted(keys, key, "right")]):
-                yield _index_signs(int(idx_a), k_a) + signs_b
-
-    return _verdict(vset, candidates())
+        raise CapError(f"memory budget exceeded: half enumeration needs 3^{k_a} entries, "
+                       f"cap is {MITM_HALF_CAP}")
+    codes = _codes(vset)
+    if k * max(map(abs, codes), default=0) >= INT64_LIMIT:
+        matches = _exact_matches(codes[k_a:], codes[:k_a])
+    else:
+        sums_a = _sign_sums(np.array(codes[:k_a], dtype=np.int64))
+        need = _sign_sums(-np.array(codes[k_a:], dtype=np.int64))
+        keys = np.sort(sums_a)
+        hits = np.flatnonzero(keys[np.minimum(np.searchsorted(keys, need), keys.size - 1)] == need)
+        matches = ((int(b), _index_signs(int(np.argmax(sums_a == need[b])), k_a)) for b in hits)
+    return _verdict(vset, (signs + _index_signs(walked, k_b) for walked, signs in matches))
 
 
 # ---------------------------------------------------------------------------

@@ -1311,5 +1311,6 @@ def test_every_command_line_ends_in_exit_0_2_or_3(fuzz_files, data):
     elif code == 3:  # one refusal line and no report
         assert out.getvalue() == "" and len(lines) == 1, (argv, lines)
         assert lines[0].startswith("refused: "), (argv, lines)
+        assert any(c.isdigit() for c in lines[0]), (argv, lines)  # it names a number
     else:  # the report alone on stdout
         assert_report(out.getvalue(), argv)

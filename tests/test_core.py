@@ -9,6 +9,7 @@ at frequency sum eps_j lambda_j.  Everything sparse is checked against it.
 import dataclasses
 import itertools
 import math
+import pickle
 import threading
 import tracemalloc
 
@@ -1107,6 +1108,21 @@ def test_records_are_frozen_values_of_their_class(cls):
     assert first == second
     others = [make() for other, make in RECORD_EXAMPLES.items() if other is not cls]
     assert all(first != other for other in others)
+
+
+@pytest.mark.parametrize("cls", RECORD_EXAMPLES, ids=lambda cls: cls.__name__)
+def test_record_hash_is_formed_once(monkeypatch, cls):
+    first, second = RECORD_EXAMPLES[cls](), RECORD_EXAMPLES[cls]()
+    reads = []
+    field_values = core._field_values
+    monkeypatch.setattr(core, "_field_values", lambda obj: reads.append(obj) or field_values(obj))
+    assert hash(first) == hash(second)
+    assert [obj for obj in reads if obj is first or obj is second] == [first, second]
+    formed = len(reads)
+    assert hash(first) == hash(second) and len(reads) == formed  # no field is read again
+    # a pickle carries the fields, not the hash (a str hashes anew in each process)
+    copy = pickle.loads(pickle.dumps(first))
+    assert "_hash" not in vars(copy) and copy == first and hash(copy) == hash(first)
 
 
 def test_records_of_different_classes_with_equal_fields_differ():

@@ -1,9 +1,9 @@
 """Quasi-independence checkers, the recursive construction, meshes, Sidon.
 
-The two checkers are each other's oracle: they share the integer codes and
-the exact verification of candidates, but one tabulates exact sums of the
-trailing codes and walks the leading ones, and the other sorts and
-searches half sums of residues.
+The two checkers are each other's oracle: they share the integer codes,
+the exact walk and the verification of candidates, but the scan tabulates
+the trailing codes and walks the leading ones, and the search tabulates the
+first half and walks the second, or sorts and searches int64 half sums.
 Both are also checked against plain enumerations in their documented
 orders, and every negative verdict's witness is recombined and checked to
 sum to zero.
@@ -18,13 +18,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rieszprod import (
     CapError,
     IntVectorSet,
     Mesh,
+    QiCheckResult,
     SignPattern,
     ValidationError,
     build_dissociated_base,
@@ -40,7 +41,12 @@ from rieszprod import (
 )
 from rieszprod import qi
 from rieszprod.cli import main
-from rieszprod.qi import MESH_GENERATOR_CAP, QI_FALSE_MATCH_CAP, RESIDUE_PRIME
+from rieszprod.core import INT64_LIMIT
+from rieszprod.qi import MESH_GENERATOR_CAP, MITM_HALF_CAP
+
+# the prime modulo which an earlier search reduced its sums; sets built to
+# match modulo P and never exactly stay as tests of the exact sums
+P = 2 ** 57 - 13
 
 
 def assert_witness_valid(vset, result):
@@ -251,28 +257,9 @@ def test_brute_witness_across_the_table_boundary(vectors):
     assert result.witness == expected
 
 
-def test_residue_prime_is_prime():
-    p = RESIDUE_PRIME
-    assert 16 * p < 2 ** 62
-    # deterministic Miller-Rabin: these bases decide every n < 3.3e24
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            pytest.fail(f"{a} witnesses that {p} is composite")
-
-
 def test_codes_that_are_multiples_of_p():
-    # every residue is 0 before the codes are divided by their gcd
-    p = RESIDUE_PRIME
+    # codes that share the factor p = P: dividing by their gcd keeps every relation
+    p = P
     independent = IntVectorSet.from_integers([p * 3 ** j for j in range(14)])
     dependent = IntVectorSet.from_vectors([(p, 2 * p), (3 * p, p), (4 * p, 3 * p)])
     for check in (qi_check_bruteforce, qi_check_mitm):
@@ -284,27 +271,38 @@ def test_codes_that_are_multiples_of_p():
 @pytest.mark.parametrize("method", ["brute", "mitm"])
 def test_false_residue_matches_are_refused(capsys, method):
     # 1, p, 3p, 9p, ...: quasi-independent, but every pattern without the 1
-    # sums to 0 modulo p, so the search's candidates are all false; the scan
-    # sums exact integers and answers
-    p = RESIDUE_PRIME
+    # sums to 0 modulo p = P, where residues matched falsely; both checkers sum
+    # exact integers and answer
+    p = P
     values = [1] + [p * 3 ** j for j in range(15)]
     start = time.perf_counter()
     code = main(["qi", "check", "--method", method,
                  "--values=" + ",".join(map(str, values))])
     elapsed = time.perf_counter() - start
     err = capsys.readouterr().err
-    if method == "brute":
-        assert code == 0 and elapsed < 2
-        assert "verdict: true" in err.splitlines()
-        return
-    assert code == 3 and elapsed < 2
-    assert f"{QI_FALSE_MATCH_CAP + 1} sign patterns matched modulo p = {p}" in err
-    assert f"the false-match cap is {QI_FALSE_MATCH_CAP}" in err
+    assert code == 0 and elapsed < 2
+    assert "verdict: true" in err.splitlines()
 
 
 def test_mitm_caps():
-    with pytest.raises(CapError):
-        qi_check_mitm(IntVectorSet.from_integers(range(1, 34)))
+    # 26 elements: 3^13 first-half sums, within the half cap (int64 codes)
+    assert qi_check_mitm(IntVectorSet.from_integers([3 ** j for j in range(26)])).quasi_independent
+    for k in (27, 33):
+        k_a = (k + 1) // 2
+        with pytest.raises(CapError, match=rf"^memory budget exceeded: half enumeration needs "
+                                           rf"3\^{k_a} entries, cap is {MITM_HALF_CAP}$"):
+            qi_check_mitm(IntVectorSet.from_integers(range(1, k + 1)))
+
+
+@pytest.mark.parametrize("values, expected", [
+    ((), QiCheckResult(True, None)),
+    ((5,), QiCheckResult(True, None)),
+    ((2 ** 70,), QiCheckResult(True, None)),
+    ((-3,), QiCheckResult(True, None)),
+])
+def test_checkers_on_zero_and_one_elements(values, expected):
+    vset = IntVectorSet.from_integers(values)
+    assert qi_check_mitm(vset) == qi_check_bruteforce(vset) == expected
 
 
 def planted_powers(k, t, a, b, vector=False):
@@ -341,26 +339,39 @@ def test_brute_witness_with_outer_block(k, t, a, b, vector):
         assert result.witness.signs(k) == relation
 
 
-def stable_argsort_mitm(vset):
-    """The matcher qi_check_mitm replaced: the first-half sums sorted by a
-    stable argsort, and each second-half sum's equal range found by two
-    searches; the witness is the first candidate that passes."""
-    k = len(vset)
-    k_a, k_b = (k + 1) // 2, k // 2
-    residues = qi._residues(vset)
-    sums_a = qi._sign_sums(residues[:k_a]) % RESIDUE_PRIME
-    need = qi._sign_sums(-residues[k_a:]) % RESIDUE_PRIME
-    order = np.argsort(sums_a, kind="stable")
-    sums_a = sums_a[order]
-    lo, hi = np.searchsorted(sums_a, need, "left"), np.searchsorted(sums_a, need, "right")
+def exact_mitm_reference(vset):
+    """The search's witness by exact sums in its order: for each second-half
+    pattern in mixed-radix order, the first first-half pattern whose exact sum
+    cancels it; the first nontrivial combination, led by +1."""
+    vectors = vset.elements
+    k_a = (len(vectors) + 1) // 2
 
-    def candidates():
-        for idx_b in np.flatnonzero(hi > lo):
-            signs_b = qi._index_signs(int(idx_b), k_b)
-            for pos in range(lo[idx_b], hi[idx_b]):
-                yield qi._index_signs(int(order[pos]), k_a) + signs_b
+    def sums(part):  # level by level, in mixed-radix order
+        out = [(0,) * len(vectors[0])]
+        for v in part:
+            out = [tuple(x + e * y for x, y in zip(s, v)) for s in out for e in (-1, 0, 1)]
+        return out
 
-    return qi._verdict(vset, candidates())
+    first = {}
+    for index, total in enumerate(sums(vectors[:k_a])):
+        first.setdefault(total, index)
+    for index_b, total in enumerate(sums(vectors[k_a:])):
+        index_a = first.get(tuple(-x for x in total))
+        if index_a is None:
+            continue
+        signs = qi._index_signs(index_a, k_a) + qi._index_signs(index_b, len(vectors) - k_a)
+        if any(signs):
+            lead = next(e for e in signs if e)
+            return QiCheckResult(False, SignPattern.from_signs([lead * e for e in signs]))
+    return QiCheckResult(True, None)
+
+
+def false_matches_then(last):
+    """3^j, j < 6, then (p + 1) 3^j, j < 5, then ``last`` (p = P): every
+    second-half pattern of the (p + 1) 3^j matched one first-half pattern
+    modulo p and none exactly, so a residue search met hundreds of hits
+    before any witness of ``last``."""
+    return [(3 ** j,) for j in range(6)] + [((P + 1) * 3 ** j,) for j in range(5)] + [(last,)]
 
 
 @pytest.mark.parametrize("vectors", [
@@ -372,52 +383,76 @@ def stable_argsort_mitm(vset):
     [(2 ** 70,), (2 ** 71,), (3 * 2 ** 70,)] + [(5 ** j,) for j in range(10)],
     [(v,) for v in range(1, 25)],
     [(v, v * v) for v in range(1, 19)],
+    false_matches_then(4),  # 1 + 3 - 4 = 0
+    false_matches_then((P + 1) * 3 ** 5),  # quasi-independent
 ], ids=["planted-24", "planted-21", "planted-vectors", "powers-of-3", "beyond-int64",
-        "beyond-int64-relation", "dense-1-24", "dense-vectors"])
+        "beyond-int64-relation", "dense-1-24", "dense-vectors", "false-matches-then-relation",
+        "false-matches"])
 def test_mitm_witness_equals_the_stable_argsort_matcher(vectors):
     vset = IntVectorSet.from_vectors(vectors)
-    assert qi_check_mitm(vset) == stable_argsort_mitm(vset)
-
-
-def false_matches_then(last):
-    """3^j, j < 6, then (p + 1) 3^j, j < 5, then ``last``: every second-half
-    pattern of the (p + 1) 3^j matches one first-half pattern modulo p and
-    none exactly, so hundreds of hits come before any witness of ``last``."""
-    p = RESIDUE_PRIME
-    return [(3 ** j,) for j in range(6)] + [((p + 1) * 3 ** j,) for j in range(5)] + [(last,)]
-
-
-@pytest.mark.parametrize("scans", [0, 1, qi.MITM_SCANS])
-@pytest.mark.parametrize("vectors", [
-    false_matches_then(4),  # 1 + 3 - 4 = 0, found after about 360 hits
-    false_matches_then((RESIDUE_PRIME + 1) * 3 ** 5),  # quasi-independent: 729 hits
-    planted_powers(24, 3, 14, 20)[0],
-    planted_powers(17, 4, 1, 13, vector=True)[0],
-    [(2 ** 70,), (2 ** 71,), (3 * 2 ** 70,)] + [(5 ** j,) for j in range(10)],
-    [(v,) for v in range(1, 25)],
-    [(v, v * v) for v in range(1, 19)],
-], ids=["false-matches-then-relation", "false-matches", "planted-24", "planted-vectors",
-        "beyond-int64-relation", "dense-1-24", "dense-vectors"])
-def test_mitm_witness_from_the_stable_order_equals_the_stable_argsort_matcher(
-        monkeypatch, scans, vectors):
-    # the hits past MITM_SCANS read their first-half positions from one stable order
-    monkeypatch.setattr(qi, "MITM_SCANS", scans)
-    vset = IntVectorSet.from_vectors(vectors)
-    assert qi_check_mitm(vset) == stable_argsort_mitm(vset)
+    assert qi_check_mitm(vset) == exact_mitm_reference(vset)
 
 
 def test_mitm_refuses_a_crafted_false_match_set_after_one_sort():
-    # 3^j and (p + 1) 3^j, j < 13: each of the 3^13 second-half patterns
-    # matches one first-half pattern modulo p and none exactly; a scan of the
-    # 3^13 first-half sums per hit took about 10 s to reach the cap
-    p = RESIDUE_PRIME
+    # 3^j and (p + 1) 3^j, j < 13 (p = P): each of the 3^13 second-half
+    # patterns matched one first-half pattern modulo p and none exactly, so a
+    # residue search refused the set; exact sums answer it
     vset = IntVectorSet.from_integers([3 ** j for j in range(13)]
-                                      + [(p + 1) * 3 ** j for j in range(13)])
+                                      + [(P + 1) * 3 ** j for j in range(13)])
     start = time.perf_counter()
-    with pytest.raises(CapError, match=f"^{QI_FALSE_MATCH_CAP + 1} sign patterns matched "
-                                       f"modulo p = {p} but not exactly"):
-        qi_check_mitm(vset)
+    assert qi_check_mitm(vset) == QiCheckResult(True, None)
     assert time.perf_counter() - start < 6
+
+
+@st.composite
+def threshold_pairs(draw):
+    """One relation structure at two scales, k max|code| just below 2^62 and
+    just above: base values m^j (m = 2 (plants + 2), so no combination with
+    coefficients below m/2 vanishes) times s, the first plus 1 (so the codes
+    keep gcd 1), and planted elements v_a +- v_b of two base values.  The
+    relations are those of the unscaled structure at every s divisible by m.
+    Returns the elements in a drawn order at both scales."""
+    bases = draw(st.integers(2, 10))
+    plants = draw(st.integers(0, min(10, 20 - bases)))
+    m = 2 * (plants + 2)
+    triples = draw(st.lists(st.tuples(st.integers(0, bases - 1), st.integers(0, bases - 1),
+                                      st.sampled_from((-1, 1))).filter(lambda t: t[0] != t[1]),
+                            max_size=plants))
+    order = draw(st.permutations(range(bases + len(triples))))
+
+    def scaled(s):
+        values = [s * m ** j for j in range(bases)]
+        values[0] += 1
+        values += [values[a] + e * values[b] for a, b, e in triples]
+        return [values[i] for i in order]
+
+    assume(len(set(scaled(m))) == len(order))
+    k = len(order)
+    low = k * max(map(abs, scaled(m)))
+    step = k * max(map(abs, scaled(2 * m))) - low  # k max|v| at s = m t is low + (t - 1) step
+    t = max((INT64_LIMIT - low) // step + 1, 1)
+    while t > 1 and k * max(map(abs, scaled(m * t))) >= INT64_LIMIT:
+        t -= 1
+    below = scaled(m * t)
+    while k * max(map(abs, scaled(m * t))) < INT64_LIMIT:
+        t += 1
+    return below, scaled(m * t)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(threshold_pairs())
+def test_int64_and_exact_sums_agree_across_the_threshold(pair):
+    results = []
+    for values, int64 in zip(pair, (True, False)):
+        vset = IntVectorSet.from_integers(values)
+        k, codes = len(vset), qi._codes(vset)
+        assume((k * max(map(abs, codes)) < INT64_LIMIT) == int64)
+        results.append(qi_check_mitm(vset))
+        if k <= qi.BRUTE_FORCE_CAP:
+            assert qi_check_bruteforce(vset).quasi_independent == results[-1].quasi_independent
+        if not results[-1].quasi_independent:
+            assert_witness_valid(vset, results[-1])
+    assert results[0] == results[1]
 
 
 def traced_peak_mb(func, *args):
@@ -430,9 +465,13 @@ def traced_peak_mb(func, *args):
 
 
 def test_checkers_peak_memory():
-    # the half cap: two halves of 3^13 sums, built level by level
+    # the half cap: two int64 halves of 3^13 sums, built level by level
     halves = IntVectorSet.from_integers([3 ** j for j in range(26)])
     assert traced_peak_mb(qi_check_mitm, halves) < 128
+    # the half cap beyond int64: one set of the 3^13 sign sums of the first
+    # 13 codes, Python integers of 71 bits (145 MB traced)
+    big = IntVectorSet.from_integers([2 ** 70 + 3 ** j for j in range(26)])
+    assert traced_peak_mb(qi_check_mitm, big) < 192
     # a full scan of 3^16 patterns: two lists of 3^8 exact sums and one table
     dominant = IntVectorSet.from_integers([3 ** j for j in range(16)])
     assert traced_peak_mb(qi_check_bruteforce, dominant) < 4
