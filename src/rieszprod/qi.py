@@ -8,10 +8,10 @@ failure.  Both encode each vector as one integer sum_i v_i B^i,
 B = 2 k max|v_i| + 1 (exact, because no coordinate of a combination
 reaches B/2), divide the codes by their gcd (which keeps every relation),
 and sum them exactly over the sign patterns in mixed-radix order (digits
--1, 0, +1, big-endian): as Python integers in ``_exact_matches``, which
-serves the scan (it imports no numpy) and the search on codes beyond int64,
-and as int64 arrays in the search while k max|code| < 2^62.  Each witness
-is the first nontrivial relation in its checker's documented order.
+-1, 0, +1, big-endian): as int64 arrays in the search of 17 or more
+elements while k max|code| < 2^62, and otherwise as Python integers in
+``_exact_matches``, which imports no numpy.  Each witness is the first
+nontrivial relation in its checker's documented order.
 
 The constructive part builds, level by level,
 
@@ -205,14 +205,15 @@ def qi_check_mitm(vset: IntVectorSet) -> QiCheckResult:
     the second-half ones, exactly.
 
     Refused once the first ceil(k/2) codes have more than ``MITM_HALF_CAP``
-    sign sums.  While k max|code| < 2^62 the sums are int64 arrays: a sorted
-    copy of the first-half sums finds the second-half sums that some
-    first-half sum cancels, and a scan of the first half gives each one's
-    first pattern.  Above that, ``_exact_matches`` walks the second-half
-    sums of Python integers over a table of the first half.  The witness is
-    the first second-half pattern (in mixed-radix order) with a nontrivial
-    match, combined with the first first-half pattern matching it; the
-    first zero-sum first-half pattern is nontrivial whenever one is (of a
+    sign sums.  On 17 or more codes with k max|code| < 2^62 the sums are
+    int64 arrays: a sorted copy of the first-half sums finds the second-half
+    sums that some first-half sum cancels, and a scan of the first half gives
+    each one's first pattern.  Otherwise (up to ``BRUTE_FORCE_CAP`` = 16
+    elements, with no numpy, or beyond int64) ``_exact_matches`` walks the
+    second-half sums of Python integers over a table of the first half.  The
+    witness is the first second-half pattern (in mixed-radix order) with a
+    nontrivial match, combined with the first first-half pattern matching it;
+    the first zero-sum first-half pattern is nontrivial whenever one is (of a
     relation and its negation, the one led by -1 precedes the trivial
     pattern), so each second-half pattern has one candidate.
     """
@@ -223,7 +224,7 @@ def qi_check_mitm(vset: IntVectorSet) -> QiCheckResult:
         raise CapError(f"memory budget exceeded: half enumeration needs 3^{k_a} entries, "
                        f"cap is {MITM_HALF_CAP}")
     codes = _codes(vset)
-    if k * max(map(abs, codes), default=0) >= INT64_LIMIT:
+    if k <= BRUTE_FORCE_CAP or k * max(map(abs, codes), default=0) >= INT64_LIMIT:
         matches = _exact_matches(codes[k_a:], codes[:k_a])
     else:
         sums_a = _sign_sums(np.array(codes[:k_a], dtype=np.int64))

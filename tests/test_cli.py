@@ -659,6 +659,10 @@ def test_every_package_export_still_resolves():
         rieszprod.no_such_name
 
 
+# 17 int64 values: past the scan's cap of 16, the meet-in-the-middle search sums int64 arrays
+MITM_17 = ",".join(str(3 ** j) for j in range(17))
+
+
 def run_python(script: str, **env) -> str:
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=child_env(**env), check=True)
@@ -681,7 +685,7 @@ def test_the_cli_loads_numpy_with_one_blas_thread_unless_told(blas, tasks):
         pytest.skip(f"OpenBLAS starts no more threads than the {tasks} CPUs this needs")
     script = ("import os, sys; before = dict(os.environ); import rieszprod.cli as cli; "
               "loaded = 'numpy' in sys.modules; "
-              "cli.main(['qi', 'check', '--method', 'mitm', '--values', '1,2,3', "
+              f"cli.main(['qi', 'check', '--method', 'mitm', '--values', '{MITM_17}', "
               "'--out', os.devnull]); "
               "print(len(os.listdir('/proc/self/task')), os.environ == before, "
               "os.environ.get('OPENBLAS_NUM_THREADS'), loaded, 'numpy' in sys.modules)")
@@ -697,7 +701,7 @@ def test_every_layer_keeps_reading_numpy_through_the_module_hook():
     """An array command leaves each layer's ``np`` bound to ``_lazynp``, which
     then holds numpy's values under the names read."""
     script = ("import os, sys, rieszprod._lazynp as lazy, rieszprod.cli as cli; "
-              "cli.main(['qi', 'check', '--method', 'mitm', '--values', '1,2,3', "
+              f"cli.main(['qi', 'check', '--method', 'mitm', '--values', '{MITM_17}', "
               "'--out', os.devnull]); "
               "import numpy; "
               f"print([sys.modules['rieszprod.' + layer].np is lazy for layer in {LAYERS!r}], "
@@ -773,13 +777,14 @@ GRAM = ("gram", "--j", "1", "--k", "2", "--depth", "4", "--spec")
     (("eval", "--spec", "{spec}", "--depth", "3", "--t", "0.5"), True),
     (("dim", "--spec", "{spec}", "--depth", "5", "--n-min", "1", "--n-max", "2"), True),
     (("qi", "check", "--values", "1,2,3"), False),  # auto: brute force, exact integers
-    (("qi", "check", "--method", "mitm", "--values", "1,2,3"), True),
+    (("qi", "check", "--method", "mitm", "--values", "1,2,3"), False),  # up to 16: exact integers
+    (("qi", "check", "--method", "mitm", "--values", MITM_17), True),  # 17 int64 codes
     (("sidon", "estimate", "--set", "1,3,9", "--seed", "1", "--trials", "5"), True),
     ((*GRAM, "{random}"), True),  # random phases are drawn from numpy's PCG64
 ], ids=["validate", "validate-random-phase", "gram", "classify", "witness", "qi-lambda",
         "qi-build", "mesh-count", "sidon-bound", "spectrum", "energy-band-paper",
         "energy-band-exact", "coeffs", "eval", "dim", "qi-check", "qi-check-mitm",
-        "sidon-estimate", "gram-random-phase"])
+        "qi-check-mitm-17", "sidon-estimate", "gram-random-phase"])
 def test_numpy_loads_only_for_commands_that_use_arrays(tmp_path, spec_path, entry, argv,
                                                        loads_numpy):
     _, _, a, _, b, _, tails = classify_argv(tmp_path)

@@ -3,7 +3,8 @@
 The two checkers are each other's oracle: they share the integer codes,
 the exact walk and the verification of candidates, but the scan tabulates
 the trailing codes and walks the leading ones, and the search tabulates the
-first half and walks the second, or sorts and searches int64 half sums.
+first half and walks the second, or, past 16 elements, sorts and searches
+int64 half sums.
 Both are also checked against plain enumerations in their documented
 orders, and every negative verdict's witness is recombined and checked to
 sum to zero.
@@ -269,7 +270,7 @@ def test_codes_that_are_multiples_of_p():
 
 
 @pytest.mark.parametrize("method", ["brute", "mitm"])
-def test_false_residue_matches_are_refused(capsys, method):
+def test_checkers_answer_the_residue_crafted_set(capsys, method):
     # 1, p, 3p, 9p, ...: quasi-independent, but every pattern without the 1
     # sums to 0 modulo p = P, where residues matched falsely; both checkers sum
     # exact integers and answer
@@ -388,12 +389,12 @@ def false_matches_then(last):
 ], ids=["planted-24", "planted-21", "planted-vectors", "powers-of-3", "beyond-int64",
         "beyond-int64-relation", "dense-1-24", "dense-vectors", "false-matches-then-relation",
         "false-matches"])
-def test_mitm_witness_equals_the_stable_argsort_matcher(vectors):
+def test_mitm_witness_equals_the_exact_reference(vectors):
     vset = IntVectorSet.from_vectors(vectors)
     assert qi_check_mitm(vset) == exact_mitm_reference(vset)
 
 
-def test_mitm_refuses_a_crafted_false_match_set_after_one_sort():
+def test_mitm_answers_the_crafted_false_match_set():
     # 3^j and (p + 1) 3^j, j < 13 (p = P): each of the 3^13 second-half
     # patterns matched one first-half pattern modulo p and none exactly, so a
     # residue search refused the set; exact sums answer it
@@ -411,13 +412,15 @@ def threshold_pairs(draw):
     coefficients below m/2 vanishes) times s, the first plus 1 (so the codes
     keep gcd 1), and planted elements v_a +- v_b of two base values.  The
     relations are those of the unscaled structure at every s divisible by m.
-    Returns the elements in a drawn order at both scales."""
-    bases = draw(st.integers(2, 10))
-    plants = draw(st.integers(0, min(10, 20 - bases)))
+    17 to 20 elements, so that the search below the threshold sums int64
+    arrays.  Returns the elements in a drawn order at both scales."""
+    bases = draw(st.integers(7, 20))
+    plants = draw(st.integers(max(qi.BRUTE_FORCE_CAP + 1 - bases, 0), min(10, 20 - bases)))
     m = 2 * (plants + 2)
     triples = draw(st.lists(st.tuples(st.integers(0, bases - 1), st.integers(0, bases - 1),
                                       st.sampled_from((-1, 1))).filter(lambda t: t[0] != t[1]),
-                            max_size=plants))
+                            min_size=plants, max_size=plants,
+                            unique_by=lambda t: (min(t[:2]), max(t[:2])) if t[2] == 1 else t))
     order = draw(st.permutations(range(bases + len(triples))))
 
     def scaled(s):
@@ -448,11 +451,42 @@ def test_int64_and_exact_sums_agree_across_the_threshold(pair):
         k, codes = len(vset), qi._codes(vset)
         assume((k * max(map(abs, codes)) < INT64_LIMIT) == int64)
         results.append(qi_check_mitm(vset))
-        if k <= qi.BRUTE_FORCE_CAP:
-            assert qi_check_bruteforce(vset).quasi_independent == results[-1].quasi_independent
         if not results[-1].quasi_independent:
             assert_witness_valid(vset, results[-1])
     assert results[0] == results[1]
+
+
+@st.composite
+def int64_sets(draw):
+    """17 to 20 distinct nonzero vectors of dimension 1 or 2 whose codes keep
+    every sign sum in int64 (k max|code| < 2^62): small coordinates (many
+    relations), large ones, or a mix, and sometimes a planted relation
+    v_c = v_a +- v_b."""
+    k = draw(st.integers(qi.BRUTE_FORCE_CAP + 1, 20))
+    dim = draw(st.integers(1, 2))
+    small = st.integers(-60, 60)
+    large = st.integers(-2 ** 57, 2 ** 57) if dim == 1 else st.integers(-2 ** 25, 2 ** 25)
+    coords = draw(st.sampled_from([small, large, st.one_of(small, large)]))
+    vectors = draw(st.lists(st.tuples(*[coords] * dim).filter(any),
+                            min_size=k, max_size=k, unique=True))
+    if draw(st.booleans()):
+        a, b, c = draw(st.permutations(range(k)))[:3]
+        sign = draw(st.sampled_from((-1, 1)))
+        planted = tuple(x + sign * y for x, y in zip(vectors[a], vectors[b]))
+        if any(planted) and planted not in vectors:
+            vectors[c] = planted
+    vset = IntVectorSet.from_vectors(vectors)
+    assume(k * max(map(abs, qi._codes(vset))) < INT64_LIMIT)
+    return vset
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(int64_sets())
+def test_int64_search_equals_the_exact_reference(vset):
+    result = qi_check_mitm(vset)
+    assert result == exact_mitm_reference(vset)
+    if not result.quasi_independent:
+        assert_witness_valid(vset, result)
 
 
 def traced_peak_mb(func, *args):
