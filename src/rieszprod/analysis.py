@@ -35,9 +35,9 @@ from .core import (
     ValidationError,
     _check_depth,
     _check_grid,
+    _frequency_dtype,
     _generator,
     _grid,
-    _levels,
     _partial_products,
     _require_float_phases,
     _split,
@@ -202,21 +202,21 @@ def alpha_energy_band_series(spec: RieszSpec, alpha: float, n_max: int,
                 f"band_exact at n_max={n_max} needs the depth-{n_max - 1} spectrum "
                 f"(3^{n_max} points); cap is n_max={MAX_EXPANSION_DEPTH + 1}")
 
-        def blocks(j, values):
-            if moduli[j] == 0.0:
-                return None
-            up = (values[0] * (moduli[j] ** 2 / 4.0),)
-            return (0, values), (1, up), (-1, up)  # np.sum adds a band in this order
-
-        # the squared spectrum of the depth-(n-1) product, for n = 0..n_max
-        levels = _levels(spec, n_max, (np.ones(1),), blocks)
-        for n, (freqs, (w,)) in zip(range(n_max + 1), levels):
+        # the squared spectrum w of the depth-(n-1) product, laid out (F, F +
+        # lambda_j, F - lambda_j) as np.sum adds a band
+        freqs = np.zeros(1, dtype=_frequency_dtype(_support_bound(spec, n_max)))
+        w = np.ones(1)
+        for n in range(n_max + 1):
             cutoffs.append(lams[n] + (int(freqs.max()) if n else 0))
             term = 0.0  # for a zero modulus; lambda_n may not fit in int64 then
             if moduli[n] > 0.0:
                 _check_band(n, lams[n], cutoffs[-1])
-                term = 2.0 * (moduli[n] ** 2 / 4.0) * float(
+                q = moduli[n] ** 2 / 4.0
+                term = 2.0 * q * float(
                     np.sum(w * (lams[n] + freqs).astype(float) ** (alpha - 1.0)))
+                if n < n_max:
+                    freqs = np.concatenate((freqs, freqs + lams[n], freqs - lams[n]))
+                    w = np.concatenate((w, *(w * q,) * 2))  # w * q unnamed: a lower peak
             terms.append(term)
     else:
         raise ValidationError(f"unknown variant {variant!r}", "variant")

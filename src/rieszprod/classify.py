@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 from . import _lazynp as np
 from .core import (
     LACUNARY3,
+    CapError,
     CoefficientSequence,
     Record,
     RegimeError,
@@ -254,7 +256,9 @@ def build_divergence_witness(a: CoefficientSequence, b: CoefficientSequence,
     Then c_j (conj(a_j) - conj(b_j)) = |a_j - b_j|^2 / sigma_j >= 0, the
     inner-product series inherits divergence from the defining series, and
     sum |c_j|^2 <= 2 / sigma_0' (first nonzero sigma) stays finite.
-    Leading identical coefficients contribute c_j = 0.
+    Leading identical coefficients contribute c_j = 0.  A first nonzero gap
+    whose square is not a normal float64 (subnormal or 0) is refused: c_j
+    would be inexact, infinite in l2 or 0.
     """
     terms = _check_lengths(a, b, terms)
     gaps = [a.value(j) - b.value(j) for j in range(terms)]
@@ -267,8 +271,12 @@ def build_divergence_witness(a: CoefficientSequence, b: CoefficientSequence,
     sigma = 0.0
     inner_total = 0.0
     l2_total = 0.0
-    for g in gaps:
+    for j, g in enumerate(gaps):
         sigma += (g * g.conjugate()).real
+        if g != 0 and sigma < sys.float_info.min:
+            raise CapError(
+                f"divergence witness at j = {j}: |a_j - b_j| = {abs(g)!r} gives sigma_j = "
+                f"{sigma!r}, below float64's normal range (sigma_j = sum_(i<=j) |a_i - b_i|^2)")
         if sigma == 0.0:
             cj = 0j
         else:

@@ -13,7 +13,7 @@ are nonnegative with mean value 1, so they are densities of probability
 measures; everything downstream (classification, dimension estimates) is
 computed from these expansions: ``TrigPolynomial`` values holding sorted
 integer frequencies (int64 below 2^62, exact Python integers above) and
-their complex coefficients, built level by level by ``_levels``.
+their complex coefficients, built factor by factor by ``_expansion``.
 
 The "dyadic" regime (lambda_j = 2^j with sup |a_j| < 1) is also supported
 for expansion and pointwise evaluation; there colliding sign patterns are
@@ -613,29 +613,6 @@ def _require_float_phases(spec: RieszSpec, depth: int, reader: str, reach: float
             f"{bound} through depth {depth} times the reach {reach!r} of the points is >= 2^52")
 
 
-def _levels(spec: RieszSpec, depth: int, values: tuple, blocks):
-    """Yield (freqs, values) for the constant 1, then after each factor j <=
-    depth: the blocks m + e*lambda_j, concatenated in the order of
-    ``blocks(j, values)`` -> ((e, values), ...), e in {-1, 0, 1} and values
-    float arrays, or None for a factor 1.  Equal frequencies are summed only
-    where they can meet (the dyadic regime: lambda_j at most twice the prefix
-    sum below it); elsewhere the blocks are disjoint, and e = -1, 0, 1 keeps
-    a level sorted.  Frequencies are int64 while ``_support_bound`` < 2^62."""
-    lams = spec.freqs.values
-    freqs = np.zeros(1, dtype=_frequency_dtype(_support_bound(spec, depth)))
-    yield freqs, values
-    for j in range(depth + 1):
-        level = blocks(j, values)
-        if level is not None:
-            freqs = np.concatenate([freqs + e * lams[j] for e, _ in level])
-            values = tuple(map(np.concatenate, zip(*(v for _, v in level))))
-            if lams[j] <= 2 * spec.freqs.prefix_sum(j - 1):
-                freqs, where = np.unique(freqs, return_inverse=True)
-                # bincount adds in index order from 0.0, as a dict would
-                values = tuple(np.bincount(where, v, freqs.size) for v in values)
-        yield freqs, values
-
-
 def _times(ar, ai, br, bi):
     """Real and imaginary parts of (ar + i ai)(br + i bi), rounded as
     Python's complex product (numpy's complex multiply may fuse)."""
@@ -649,16 +626,22 @@ def _expansion(spec: RieszSpec, n: int) -> TrigPolynomial:
             f"expansion to depth {n} needs up to 3^{n + 1} terms; cap is "
             f"depth {MAX_EXPANSION_DEPTH}")
 
-    def blocks(j, values):
+    lams = spec.freqs.values
+    freqs = np.zeros(1, dtype=_frequency_dtype(_support_bound(spec, n)))
+    re, im = np.ones(1), np.zeros(1)
+    for j in range(n + 1):
         a = spec.coefficient(j)
         if a == 0:
-            return None
+            continue
         half = a / 2
-        return ((-1, _times(*values, half.real, -half.imag)), (0, values),  # ascending blocks
-                (1, _times(*values, half.real, half.imag)))
-
-    for freqs, (re, im) in _levels(spec, n, (np.ones(1), np.zeros(1)), blocks):
-        pass
+        # blocks m - lambda_j, m, m + lambda_j: ascending, sorted where disjoint
+        freqs = np.concatenate((freqs - lams[j], freqs, freqs + lams[j]))
+        re, im = map(np.concatenate, zip(_times(re, im, half.real, -half.imag), (re, im),
+                                         _times(re, im, half.real, half.imag)))
+        if lams[j] <= 2 * spec.freqs.prefix_sum(j - 1):  # blocks can meet (dyadic)
+            freqs, where = np.unique(freqs, return_inverse=True)
+            # bincount adds in index order from 0.0, as a dict would
+            re, im = (np.bincount(where, v, freqs.size) for v in (re, im))
     # adding 0.0 turns -0.0 into 0.0, as accumulating from 0j does
     return TrigPolynomial._from_parts(freqs, re + 0.0, im + 0.0)
 
@@ -666,7 +649,7 @@ def _expansion(spec: RieszSpec, n: int) -> TrigPolynomial:
 def expand_partial_product(spec: RieszSpec, n: int) -> TrigPolynomial:
     """Exact sparse expansion of the partial product through factor n.
 
-    One ``_levels`` level per three-term factor 1 + (a_j/2) e^{i lambda_j t}
+    One level per three-term factor 1 + (a_j/2) e^{i lambda_j t}
     + (conj(a_j)/2) e^{-i lambda_j t}.  In the lacunary3 regime no
     frequencies collide; in the dyadic regime colliding sign patterns
     aggregate.  The mean value (coefficient at 0) is 1.
@@ -794,7 +777,7 @@ def _coefficient(spec: RieszSpec, m: int, depth: int) -> complex:
     factor ``depth`` down, a residual x stays while the factors below with
     a_j != 0 can reach it, |x| <= the sum of their lambda_j (one residual at
     most in lacunary3, two in dyadic); from factor 0 up, each sums its e = -1,
-    0, 1 terms from 0.0 (so no part is -0.0) in the order of ``_levels``."""
+    0, 1 terms from 0.0 (so no part is -0.0) in the order of ``_expansion``."""
     factors, reach = _walk_factors(spec, depth)
     wanted = [{m} if abs(m) <= reach else set()]
     for lam, _ in reversed(factors):

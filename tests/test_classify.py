@@ -330,6 +330,29 @@ def test_witness_rejects_identical_sequences():
         build_divergence_witness(cs, cs, 8)
 
 
+def first_gap(r0):
+    """Coefficients (r0, 0.5, 0.5) and (0, 0.5, 0.5): one gap, r0, at j = 0."""
+    return (CoefficientSequence((r0, 0.5, 0.5), (0.0, 0.0, 0.0)),
+            CoefficientSequence((0.0, 0.5, 0.5), (0.0, 0.0, 0.0)))
+
+
+@pytest.mark.parametrize("r0, sigma", [(2.3e-162, 5e-324), (1e-170, 0.0)],
+                         ids=["subnormal", "underflow"])
+def test_witness_refuses_a_first_gap_whose_square_is_not_normal(r0, sigma):
+    # unrefused, a subnormal sigma_0 gave c_0 = 4.66e161, an inf l2 norm and an
+    # inner sum of 1.07 for 1; a sigma_0 of 0.0 gave c = 0, which witnesses nothing
+    with pytest.raises(CapError, match=re.escape(
+            f"at j = 0: |a_j - b_j| = {r0!r} gives sigma_j = {sigma!r},")):
+        build_divergence_witness(*first_gap(r0), 3)
+
+
+def test_witness_keeps_a_first_gap_whose_square_is_normal():
+    witness = build_divergence_witness(*first_gap(1.5e-154), 3)
+    assert witness.c == (1 / 1.5e-154 + 0j, 0j, 0j)
+    assert witness.partial_inner == (1.0, 1.0, 1.0)
+    assert witness.l2_norm_partial == (4.4444444444444433e+307,) * 3
+
+
 def test_witness_leading_zero_gaps_contribute_nothing():
     a = CoefficientSequence.from_complex([0.5, 0.5, 0.5, 0.7])
     b = CoefficientSequence.from_complex([0.5, 0.5, 0.2, 0.1])

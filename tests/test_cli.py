@@ -91,6 +91,13 @@ PHASE_FREQUENCIES = [1, 10, 10 ** 15, 10 ** 17]
 PHASE_SPEC = {**HUGE_SPEC, "frequencies": {"rule": "explicit", "values": PHASE_FREQUENCIES}}
 
 
+def gap_spec(r0: float) -> dict:
+    """Three base-4 frequencies with moduli (r0, 0.5, 0.5): two such specs
+    differ at j = 0 alone, by a gap |a_0 - b_0| of the two r0."""
+    return {"frequencies": {"rule": "geometric", "base": 4, "count": 3},
+            "coefficients": {"explicit": [{"r": r0}, {"r": 0.5}, {"r": 0.5}]}}
+
+
 def test_coeffs_csv_structure(capsys, spec_path):
     code, out, _ = run_cli(capsys, "coeffs", "--spec", spec_path, "--depth", "1")
     assert code == 0
@@ -364,6 +371,23 @@ def test_witness_command(capsys, tmp_path):
     lines = out.strip().splitlines()
     assert lines[1] == "j,c_re,c_im,partial_inner,l2_partial"
     assert len(lines) == 2 + 8
+
+
+@pytest.mark.parametrize("r0, exit_code", [(2.3e-162, 3), (1e-170, 3), (1.5e-154, 0)],
+                         ids=["subnormal", "underflow", "normal"])
+def test_witness_refuses_a_gap_whose_square_is_not_normal(tmp_path, r0, exit_code):
+    # specs that differ at j = 0 alone: |a_0 - b_0|^2 is subnormal, 0.0 or normal
+    spec_a, spec_b = tmp_path / "a.json", tmp_path / "b.json"
+    spec_a.write_text(json.dumps(gap_spec(r0)), encoding="utf-8")
+    spec_b.write_text(json.dumps(gap_spec(0.0)), encoding="utf-8")
+    code, out, err = run_child("witness", "--spec-a", str(spec_a), "--spec-b", str(spec_b))
+    assert code == exit_code
+    if exit_code == 3:
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("refused: ") and f"at j = 0: |a_j - b_j| = {r0!r}" in err
+    else:
+        assert_report(out, [])
+        assert out.splitlines()[2].endswith(",1.0,4.4444444444444433e+307")
 
 
 def test_interval_command_bound_dominates(capsys, spec_path):
@@ -1125,9 +1149,10 @@ def test_command_table_matches_parser():
 
 WRONG = st.sampled_from([None, True, "3", [], {}, 0, -1, 2.5, math.nan, math.inf, 4097,
                          10 ** 30])
-MODULUS = st.sampled_from([0.0, 0.25, 0.5, 0.9, 1, 1.0])
+# with moduli whose squares are subnormal (2.3e-162) or 0.0 (1e-170) in float64
+MODULUS = st.sampled_from([0.0, 0.25, 0.5, 0.9, 1, 1.0, 2.3e-162, 1e-170])
 RT = st.fixed_dictionaries({"r": MODULUS}, optional={
-    "theta": st.sampled_from([0, 0.0, 0.3, -2.0, 7.5, 1e300])})
+    "theta": st.sampled_from([0, 0.0, 0.3, -2.0, 7.5, 1e300, 2.0 ** 52, sys.float_info.max])})
 
 
 def _places(node):
@@ -1216,8 +1241,11 @@ def fuzz_files(tmp_path_factory):
     unreadable = [put("broken.json", "{"), put("deep.json", "[" * 100_000),
                   put("long_integer.json", '{"frequencies": {"rule": "explicit", "values": '
                                            '[1, ' + "9" * 5000 + "]}}")]
+    # three specs whose coefficients differ only at j = 0, by gaps whose squares
+    # are subnormal or 0.0 in float64: any two of them make a witness refusal
+    gaps = [put(f"gap_{r}.json", json.dumps(gap_spec(r))) for r in (0.0, 2.3e-162, 1e-170)]
     specs = st.sampled_from(specs + unreadable + [str(root / "missing.json")]) \
-        | spec_documents().map(put_document)
+        | st.sampled_from(gaps) | spec_documents().map(put_document)
     return {
         "spec": specs, "spec_a": specs, "spec_b": specs,
         "tails": st.sampled_from([put("tails.json", json.dumps({"l2_gap": "divergent"})),
@@ -1226,12 +1254,15 @@ def fuzz_files(tmp_path_factory):
     }
 
 
-# small indices first: the fuzz specs have at most 7 frequencies; then sizes whose
-# floats are infinite (10^210 squared) or that are beyond float64 themselves
+# small indices first: the fuzz specs have at most 7 frequencies; then the grid
+# budget and one past it, 2^52, and sizes whose floats are infinite (10^210
+# squared) or that are beyond float64 themselves
 FUZZ_INTEGERS = (st.integers(0, 6) | st.integers(-5, 40)
-                 | st.sampled_from([10 ** 210, 10 ** 400])).map(str)
+                 | st.sampled_from([GRID_BUDGET, GRID_BUDGET + 1, 2 ** 52, 10 ** 210,
+                                    10 ** 400])).map(str)
+# points whose phases reach 2^52, and float64's largest value
 FUZZ_POINT = st.sampled_from(["0", "0.25", "0.5", "0.75", "-1.25", "3", "1e300",
-                              "nan", "inf", "-inf"])
+                              str(2 ** 52), repr(sys.float_info.max), "nan", "inf", "-inf"])
 FUZZ_VALUES = {
     "t": st.lists(FUZZ_POINT, min_size=1, max_size=3).map(",".join),
     "s": st.lists(FUZZ_POINT, min_size=1, max_size=3).map(",".join),
@@ -1277,11 +1308,22 @@ def _fuzz_argv(data, files) -> list[str]:
     return argv
 
 
+# report columns whose float cells may be inf or nan
+NON_FINITE_COLUMNS = frozenset()
+
+
+def non_finite(cell) -> bool:
+    """Whether a report cell is inf or nan: a float parsed from JSON, or the
+    text that ``repr`` writes for one in CSV."""
+    return isinstance(cell, float) and not math.isfinite(cell) or cell in ("inf", "-inf", "nan")
+
+
 def assert_report(text: str, argv) -> None:
     """``text`` parses as a report of the format that ``argv`` names (CSV by
     default): a '# config: ' line holding a JSON object, a header and rows,
     or a JSON object of "config", "header" and "rows"; each row holds one
-    cell per header name."""
+    cell per header name, and no float cell is inf or nan outside
+    ``NON_FINITE_COLUMNS``."""
     fmt = next((arg.partition("=")[2] for arg in reversed(argv)
                 if arg.startswith("--format=")), "csv")
     if fmt == "json":
@@ -1295,6 +1337,9 @@ def assert_report(text: str, argv) -> None:
         header, *rows = csv.reader(io.StringIO(body))
     assert isinstance(config, dict) and header, (argv, text[:200])
     assert all(len(row) == len(header) for row in rows), (argv, header)
+    for row in rows:
+        for name, cell in zip(header, row):
+            assert name in NON_FINITE_COLUMNS or not non_finite(cell), (argv, name, cell)
 
 
 @settings(max_examples=700, deadline=None, derandomize=True)

@@ -299,10 +299,12 @@ def frequency_dtype(spec, depth):
 
 
 def unsorted_levels(spec, depth, values, step):
-    """The levels without ``core._levels``, each laid out as (F, F + lambda_j,
+    """The levels of both array builders, each laid out as (F, F + lambda_j,
     F - lambda_j) with values (v, up, down) = (v, *step(j, v)), or skipped
     where step returns None; colliding (dyadic) frequencies are summed by
-    np.unique and bincount in that order."""
+    np.unique and bincount in that order.  ``band_exact`` lays its levels out
+    so; ``_expansion`` lays them out in ascending order, so its levels equal
+    these argsorted."""
     lams = spec.freqs.values
     freqs = np.zeros(1, dtype=frequency_dtype(spec, depth))
     yield freqs, values
@@ -359,23 +361,50 @@ def test_sorted_levels_equal_the_argsorted_expansion_bit_for_bit(case):
     assert_same_bits(expand_partial_product(spec, n), argsorted_expansion(spec, n))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(lacunary3_cases(), st.floats(0.01, 0.99))
-def test_band_series_adds_each_band_in_the_unsorted_order(case, alpha):
-    spec, n = case
-
+def unsorted_band_terms(spec, alpha, n):
+    """The band_exact terms 0..n, each band summed by np.sum over the squared
+    spectrum of ``unsorted_levels``."""
     def step(j, values):
         if spec.coeffs.moduli[j] == 0.0:
             return None
         up = (values[0] * (spec.coeffs.moduli[j] ** 2 / 4.0),)
         return up, up
 
-    expected = []
+    terms = []
     for lam, r, (freqs, (w,)) in zip(spec.freqs.values[: n + 1], spec.coeffs.moduli,
                                      unsorted_levels(spec, n, (np.ones(1),), step)):
-        expected.append(2.0 * (r ** 2 / 4.0) * float(
+        terms.append(2.0 * (r ** 2 / 4.0) * float(
             np.sum(w * (lam + freqs).astype(float) ** (alpha - 1.0))) if r > 0.0 else 0.0)
+    return terms
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lacunary3_cases(), st.floats(0.01, 0.99))
+def test_band_series_adds_each_band_in_the_unsorted_order(case, alpha):
+    spec, n = case
     terms = analysis.alpha_energy_band_series(spec, alpha, n, "band_exact").terms
+    assert [repr(t) for t in terms] == [repr(t) for t in unsorted_band_terms(spec, alpha, n)]
+
+
+def deep_band_spec(freqs):
+    """14 frequencies, moduli in [0, 1) with one of them 0, any phases."""
+    rng = np.random.default_rng(31)
+    moduli = rng.uniform(0.0, 1.0, 14)
+    moduli[9] = 0.0
+    return RieszSpec(FrequencySequence(tuple(freqs)),
+                     CoefficientSequence(tuple(moduli), tuple(rng.uniform(0.0, TWO_PI, 14))))
+
+
+@pytest.mark.parametrize("spec", [
+    deep_band_spec(4 ** j for j in range(14)),
+    # frequencies past 2^62: the levels hold exact Python integers
+    deep_band_spec((2 ** 62 + 1) * 3 ** j for j in range(14)),
+], ids=["base 4", "beyond int64"])
+def test_band_series_at_the_cap_adds_each_band_in_the_unsorted_order(spec):
+    n_max = core.MAX_EXPANSION_DEPTH + 1
+    terms = analysis.alpha_energy_band_series(spec, 0.4, n_max, "band_exact").terms
+    expected = unsorted_band_terms(spec, 0.4, n_max)
+    assert len(terms) == n_max + 1
     assert [repr(t) for t in terms] == [repr(t) for t in expected]
 
 
